@@ -416,7 +416,7 @@ gemmGflops(F &&call, double flops, std::size_t reps,
  * The dispatch leg: one GEMM shape through every microkernel flavor
  * the runtime can select — the naive reference, the scalar-portable
  * tile, the AVX2+FMA tile (when the host supports it), and the
- * thread-parallel row-block decomposition on top of the best flavor.
+ * thread-parallel row-range decomposition on top of the best flavor.
  */
 DispatchCost
 benchKernelDispatch(const BenchConfig &cfg, const gnn::Tensor2D &a,
@@ -428,11 +428,14 @@ benchKernelDispatch(const BenchConfig &cfg, const gnn::Tensor2D &a,
     cost.naive_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                    gnn::KernelMode::Naive);
     {
+        // The flavor legs measure one thread; the last leg threads.
+        gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Scalar);
         cost.scalar_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                         gnn::KernelMode::Tiled);
     }
     if (cost.avx2_supported) {
+        gnn::ScopedGemmThreads one(1);
         gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Avx2);
         cost.avx2_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                       gnn::KernelMode::Tiled);

@@ -71,7 +71,7 @@ constexpr ModuleDoc kModules[] = {
      "generator, on-device edge-list layout"},
     {"src/gnn",
      "GraphSAGE/SAINT samplers, Tensor2D + runtime-dispatched GEMM "
-     "microkernels (scalar/AVX2, thread-parallel row blocks), model, "
+     "microkernels (scalar/AVX2, thread-parallel row ranges), model, "
      "feature table"},
     {"src/flash",
      "NAND array: channel/die geometry, page read + transfer timing"},
@@ -119,7 +119,7 @@ constexpr ChannelDoc kChannels[] = {
      "lane count); one per remote node of the partitioned backend"},
     {"ThreadPool", "src/sim/thread_pool.hh",
      "real host threads for wall-clock work: parallel sweep cells, "
-     "pipeline workers, and the row-block threaded GEMM"},
+     "pipeline workers, and the row-parallel kernels"},
 };
 
 /** One row of the ctest label taxonomy. */

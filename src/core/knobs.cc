@@ -153,9 +153,11 @@ knobCatalog()
               "the fastest available, avx2 silently degrades to "
               "scalar when the ISA is absent",
               1},
-             {"gemm_threads", "int", "1", "[1, 64]",
-              "row-block GEMM worker threads; fixed block size keeps "
-              "outputs bit-identical at any count",
+             {"gemm_threads", "int", "0", "[0, 64]",
+              "threads of the row-parallel GEMM, aggregate and feature "
+              "gather; 0 = one per usable CPU. Each output row keeps "
+              "its serial reduction order, so outputs are "
+              "bit-identical at any count",
               2},
          }},
         {"sched.", "Host I/O channel dispatch", "src/sim/io.hh",

@@ -113,10 +113,10 @@ struct SystemConfig
 
     /**
      * GEMM/aggregate microkernel selection (`kernel.*` knobs):
-     * dispatch flavor (auto/scalar/avx2) and the row-block GEMM
+     * dispatch flavor (auto/scalar/avx2) and the row-parallel kernel
      * thread count. Applied process-globally when the GnnSystem is
-     * built (gnn::applyKernelConfig); defaults — auto dispatch,
-     * single-threaded — match a build without the knob block. No
+     * built (gnn::applyKernelConfig); defaults — auto dispatch, one
+     * thread per usable CPU — match the process defaults. No
      * simulated-timing metric depends on GEMM float output, so the
      * flavor never changes a bench artifact.
      */

@@ -58,34 +58,31 @@ FeatureTable::label(graph::LocalNodeId u) const
                                       num_classes_);
 }
 
-float
-FeatureTable::element(std::uint64_t node, unsigned col) const
-{
-    // Base noise per (node, col), plus a class centroid per (label,
-    // col) so classes are linearly separable in expectation. Must stay
-    // in lockstep with the loop in gather().
-    float noise = toUnit(hashMix(seed_ ^ (node << 20) ^ col));
-    std::uint32_t y = static_cast<std::uint32_t>(
-        hashMix(seed_ ^ (node * 31 + 7)) % num_classes_);
-    return 0.5f * noise + 0.8f * centroid_[std::size_t(y) * dim_ + col];
-}
-
 void
 FeatureTable::gather(std::span<const graph::LocalNodeId> nodes,
                      Tensor2D &out) const
 {
     out.resizeTo(nodes.size(), dim_); // every element written below
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const std::uint64_t node = nodes[i];
-        SS_ASSERT(node < num_nodes_, "node out of range in gather");
-        auto row = out.row(i);
-        const std::uint32_t y = static_cast<std::uint32_t>(
-            hashMix(seed_ ^ (node * 31 + 7)) % num_classes_);
-        const float *crow = centroid_.data() + std::size_t(y) * dim_;
-        const std::uint64_t base = seed_ ^ (node << 20);
-        for (unsigned j = 0; j < dim_; ++j)
-            row[j] = 0.5f * toUnit(hashMix(base ^ j)) + 0.8f * crow[j];
-    }
+    // Rows are independent: split them across threads.
+    forEachRowRange(nodes.size(), nodes.size() * dim_,
+                    [&](std::size_t i0, std::size_t i1) {
+                        for (std::size_t i = i0; i < i1; ++i)
+                            gatherRow(nodes[i], out.row(i));
+                    });
+}
+
+void
+FeatureTable::gatherRow(std::uint64_t node, std::span<float> row) const
+{
+    // Base noise per (node, col), plus a class centroid per (label,
+    // col) so classes are linearly separable in expectation.
+    SS_ASSERT(node < num_nodes_, "node out of range in gather");
+    const std::uint32_t y = static_cast<std::uint32_t>(
+        hashMix(seed_ ^ (node * 31 + 7)) % num_classes_);
+    const float *crow = centroid_.data() + std::size_t(y) * dim_;
+    const std::uint64_t base = seed_ ^ (node << 20);
+    for (unsigned j = 0; j < dim_; ++j)
+        row[j] = 0.5f * toUnit(hashMix(base ^ j)) + 0.8f * crow[j];
 }
 
 std::vector<std::uint32_t>

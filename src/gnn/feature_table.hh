@@ -64,7 +64,8 @@ class FeatureTable
     /** Cached raw class centroid rows (num_classes x dim). */
     std::vector<float> centroid_;
 
-    float element(std::uint64_t node, unsigned col) const;
+    /** Materialize one feature row (gather's per-row body). */
+    void gatherRow(std::uint64_t node, std::span<float> row) const;
 };
 
 } // namespace smartsage::gnn

@@ -49,34 +49,34 @@ SageMeanLayer::aggregateInto(const Tensor2D &h_src,
     // edge — the first edge assigns (no zero-fill pass over the
     // tensor), middles accumulate, and the mean scale is fused into the
     // final edge while the row is still register/L1 hot. Only isolated
-    // rows need explicit zeroing.
+    // rows need explicit zeroing. Rows are independent, so they split
+    // across threads without changing a bit.
     agg.resizeTo(block.numDsts(), in_dim_);
     const std::size_t dim = in_dim_;
     const float *src = h_src.data().data();
     float *out = agg.data().data();
-    for (std::size_t u = 0; u < block.numDsts(); ++u) {
-        const std::uint32_t lo = block.offsets[u];
-        const std::uint32_t hi = block.offsets[u + 1];
-        float *arow = out + u * dim;
-        if (lo == hi) {
-            for (std::size_t j = 0; j < dim; ++j)
-                arow[j] = 0.0f;
-            continue;
+    const std::size_t edges = block.offsets[block.numDsts()];
+    forEachRowRange(block.numDsts(), edges * dim, [&](std::size_t u0,
+                                                      std::size_t u1) {
+        for (std::size_t u = u0; u < u1; ++u) {
+            const std::uint32_t lo = block.offsets[u];
+            const std::uint32_t hi = block.offsets[u + 1];
+            float *arow = out + u * dim;
+            if (lo == hi) {
+                std::fill_n(arow, dim, 0.0f);
+                continue;
+            }
+            const float *first = src + block.src_index[lo] * dim;
+            std::copy_n(first, dim, arow);
+            if (hi - lo == 1)
+                continue;
+            for (std::uint32_t e = lo + 1; e < hi - 1; ++e)
+                rowAccumulate(arow, src + block.src_index[e] * dim, dim);
+            const float inv = 1.0f / static_cast<float>(hi - lo);
+            rowAccumulateScale(arow, src + block.src_index[hi - 1] * dim,
+                               inv, dim);
         }
-        const float *first = src + block.src_index[lo] * dim;
-        if (hi - lo == 1) {
-            for (std::size_t j = 0; j < dim; ++j)
-                arow[j] = first[j];
-            continue;
-        }
-        for (std::size_t j = 0; j < dim; ++j)
-            arow[j] = first[j];
-        for (std::uint32_t e = lo + 1; e < hi - 1; ++e)
-            rowAccumulate(arow, src + block.src_index[e] * dim, dim);
-        const float inv = 1.0f / static_cast<float>(hi - lo);
-        rowAccumulateScale(arow, src + block.src_index[hi - 1] * dim,
-                           inv, dim);
-    }
+    });
 }
 
 Tensor2D
@@ -99,10 +99,16 @@ SageMeanLayer::forwardInto(const Tensor2D &h_src,
               "src activations must cover the dst prefix");
 
     // Self term: dsts are the prefix of the src frontier, so the whole
-    // block is one contiguous copy.
-    ctx.h_self.resizeTo(n_dst, in_dim_);
-    std::copy_n(h_src.data().data(), n_dst * in_dim_,
-                ctx.h_self.data().data());
+    // block is one contiguous copy (split by rows across threads).
+    const std::size_t dim = in_dim_;
+    ctx.h_self.resizeTo(n_dst, dim);
+    const float *src = h_src.data().data();
+    float *self = ctx.h_self.data().data();
+    forEachRowRange(n_dst, n_dst * dim,
+                    [&](std::size_t u0, std::size_t u1) {
+                        std::copy(src + u0 * dim, src + u1 * dim,
+                                  self + u0 * dim);
+                    });
 
     aggregateInto(h_src, block, ctx.h_agg);
 
@@ -124,13 +130,13 @@ SageMeanLayer::backward(const Tensor2D &d_out, const SageContext &ctx,
 {
     Tensor2D dz = d_out; // copy; masked in place by backwardInto
     Tensor2D d_src;
-    backwardInto(dz, ctx, grads, d_src);
+    backwardInto(dz, ctx, grads, &d_src);
     return d_src;
 }
 
 void
 SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
-                            SageLayerGrads &grads, Tensor2D &d_src) const
+                            SageLayerGrads &grads, Tensor2D *d_src) const
 {
     SS_ASSERT(ctx.block, "backward without forward context");
     const SampledBlock &block = *ctx.block;
@@ -152,13 +158,16 @@ SageMeanLayer::backwardInto(Tensor2D &d_out, const SageContext &ctx,
         for (unsigned j = 0; j < out_dim_; ++j)
             brow[j] += zrow[j];
     }
+    if (!d_src)
+        return;
 
     // Input gradients: self path lands on the dst prefix rows; the
-    // aggregation path scatters 1/deg shares to every sampled src.
+    // aggregation path scatters 1/deg shares to every sampled src. The
+    // scatter's rows collide, so it stays serial.
     const std::size_t dim = in_dim_;
     matmulNTInto(dz, w_self_, ctx.d_self_ws);
-    d_src.resizeTo(ctx.src_rows, dim);
-    float *dst = d_src.data().data();
+    d_src->resizeTo(ctx.src_rows, dim);
+    float *dst = d_src->data().data();
     std::copy_n(ctx.d_self_ws.data().data(), n_dst * dim, dst);
     std::fill(dst + n_dst * dim, dst + ctx.src_rows * dim, 0.0f);
 

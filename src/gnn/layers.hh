@@ -85,11 +85,13 @@ class SageMeanLayer
     /**
      * Workspace-reusing backward. @p d_out is consumed in place (the
      * ReLU mask is applied to it); @p d_src receives the input
-     * gradient. @p ctx provides the forward tensors and two scratch
-     * workspaces.
+     * gradient, or is null to stop after the parameter gradients (the
+     * first layer's input is not trainable, so its gradient would be
+     * thrown away). @p ctx provides the forward tensors and two
+     * scratch workspaces.
      */
     void backwardInto(Tensor2D &d_out, const SageContext &ctx,
-                      SageLayerGrads &grads, Tensor2D &d_src) const;
+                      SageLayerGrads &grads, Tensor2D *d_src) const;
 
     /** SGD step: p -= lr * g. */
     void applyGrads(const SageLayerGrads &grads, float lr);

@@ -65,10 +65,12 @@ SageModel::trainStep(const Subgraph &sg, const FeatureTable &ft)
     double loss = softmaxCrossEntropy(logits, labels_ws_, grad_a_);
 
     // Backward through the stack; gradients apply immediately (plain
-    // SGD, single worker semantics).
+    // SGD, single worker semantics). Layer 0's input gradient would
+    // land on the feature table, which is not trainable: skip it.
     Tensor2D *d = &grad_a_, *dn = &grad_b_;
     for (std::size_t l = layers_.size(); l-- > 0;) {
-        layers_[l].backwardInto(*d, ctxs_[l], grads_ws_, *dn);
+        layers_[l].backwardInto(*d, ctxs_[l], grads_ws_,
+                                l == 0 ? nullptr : dn);
         layers_[l].applyGrads(grads_ws_, config_.learning_rate);
         std::swap(d, dn);
     }

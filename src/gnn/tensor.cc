@@ -3,8 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
@@ -27,26 +34,82 @@ namespace
 
 std::atomic<KernelMode> g_kernel_mode{KernelMode::Tiled};
 std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
-std::atomic<unsigned> g_gemm_threads{1};
+std::atomic<unsigned> g_gemm_threads{0}; //!< 0 = one per usable CPU
+
+/** CPUs this process may run on, capped at 64; probed once. */
+unsigned
+usableCpus()
+{
+    static const unsigned cpus = [] {
+        unsigned n = 0;
+#ifdef __linux__
+        cpu_set_t set;
+        if (sched_getaffinity(0, sizeof(set), &set) == 0)
+            n = static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+        if (n == 0)
+            n = std::thread::hardware_concurrency();
+        return std::clamp(n, 1u, 64u);
+    }();
+    return cpus;
+}
 
 /**
- * Lazily built pool backing the threaded GEMM path; rebuilt when the
- * configured thread count changes. Guarded so concurrent experiment
- * cells applying identical defaults never race a rebuild.
+ * Shared pool backing the row-parallel kernels: @p threads - 1
+ * workers, because the calling thread runs one range itself. Rebuilt
+ * when the requested count changes; callers hold the returned
+ * shared_ptr for the whole kernel, so a rebuild racing a running
+ * kernel only drops the registry's reference and the old pool lives
+ * until its last kernel finishes.
  */
-sim::ThreadPool *
+std::shared_ptr<sim::ThreadPool>
 gemmPool(unsigned threads)
 {
     static std::mutex mutex;
-    static std::unique_ptr<sim::ThreadPool> pool;
-    static unsigned pool_threads = 0;
+    static std::shared_ptr<sim::ThreadPool> pool;
     std::lock_guard<std::mutex> lock(mutex);
-    if (pool_threads != threads) {
-        pool = std::make_unique<sim::ThreadPool>(threads);
-        pool_threads = threads;
-    }
-    return pool.get();
+    if (!pool || pool->size() != threads - 1)
+        pool = std::make_shared<sim::ThreadPool>(threads - 1);
+    return pool;
 }
+
+/**
+ * Below this many multiply-adds (or element operations) per range a
+ * further split costs more in wake-up latency than it saves, so
+ * forEachRowRange uses fewer ranges, down to running inline. A fixed
+ * constant: the partition never changes output bits, only speed.
+ */
+constexpr std::size_t kMinRangeWork = std::size_t(1) << 18;
+
+/** One forEachRowRange call: the range partition plus a completion
+ *  latch private to the call, so concurrent callers sharing the pool
+ *  never wait on each other's ranges. */
+struct RowRangeCall
+{
+    const std::function<void(std::size_t, std::size_t)> &fn;
+    std::size_t rows;
+    std::size_t ranges;
+    std::mutex mutex;
+    std::condition_variable done;
+    std::size_t pending;
+    std::exception_ptr error;
+
+    void
+    run(std::size_t idx)
+    {
+        std::exception_ptr err;
+        try {
+            fn(rows * idx / ranges, rows * (idx + 1) / ranges);
+        } catch (...) {
+            err = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (err && !error)
+            error = err;
+        if (--pending == 0)
+            done.notify_one();
+    }
+};
 
 } // namespace
 
@@ -129,14 +192,36 @@ kernelDispatchFromKnob(double value)
 void
 setGemmThreads(unsigned threads)
 {
-    g_gemm_threads.store(threads < 1 ? 1 : threads,
-                         std::memory_order_relaxed);
+    g_gemm_threads.store(threads, std::memory_order_relaxed);
 }
 
 unsigned
 gemmThreads()
 {
-    return g_gemm_threads.load(std::memory_order_relaxed);
+    const unsigned threads = g_gemm_threads.load(std::memory_order_relaxed);
+    return threads == 0 ? usableCpus() : threads;
+}
+
+void
+forEachRowRange(std::size_t rows, std::size_t work,
+                const std::function<void(std::size_t, std::size_t)> &fn)
+{
+    const unsigned threads = gemmThreads();
+    const std::size_t ranges = std::min<std::size_t>(
+        {threads, rows, std::max<std::size_t>(1, work / kMinRangeWork)});
+    if (ranges <= 1) {
+        fn(0, rows);
+        return;
+    }
+    const std::shared_ptr<sim::ThreadPool> pool = gemmPool(threads);
+    RowRangeCall call{fn, rows, ranges, {}, {}, ranges, nullptr};
+    for (std::size_t idx = 1; idx < ranges; ++idx)
+        pool->submit([&call, idx] { call.run(idx); });
+    call.run(0);
+    std::unique_lock<std::mutex> lock(call.mutex);
+    call.done.wait(lock, [&call] { return call.pending == 0; });
+    if (call.error)
+        std::rethrow_exception(call.error);
 }
 
 bool
@@ -145,9 +230,9 @@ applyKnob(KernelConfig &config, std::string_view key, double value)
     if (key == "dispatch") {
         config.dispatch = kernelDispatchFromKnob(value);
     } else if (key == "gemm_threads") {
-        if (value != std::floor(value) || value < 1 || value > 64)
+        if (value != std::floor(value) || value < 0 || value > 64)
             SS_FATAL("kernel.gemm_threads must be an integer in "
-                     "[1, 64], got ",
+                     "[0, 64], got ",
                      value);
         config.gemm_threads = static_cast<unsigned>(value);
     } else {
@@ -258,17 +343,25 @@ matmulNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 }
 
+// Every tiled kernel below computes rows [i0, i1) of C, and the
+// accumulation order of each output element never depends on the row
+// range: any partition of C's rows yields output bit-identical to a
+// single full-range call. runGemmRows relies on this to split C across
+// threads.
+
 /**
- * Scalar NN microkernel over rows [i0, i1) of C. Per-row accumulation
- * order (kk outer, then jj, then the 4-way k unroll) is independent of
- * the row range, so any row-block decomposition of [0, m) produces
- * output bit-identical to a single full-range call.
+ * Scalar NN microkernel: C += A * B. Per-row accumulation order (kk
+ * outer, then jj, then the 4-way k unroll) is independent of the row
+ * range.
  */
 void
-matmulScalarRows(const float *adata, const float *bdata, float *cdata,
-                 std::size_t i0, std::size_t i1, std::size_t kdim,
-                 std::size_t n)
+matmulScalarRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                 std::size_t i0, std::size_t i1)
 {
+    const std::size_t kdim = a.cols(), n = b.cols();
+    const float *adata = a.data().data();
+    const float *bdata = b.data().data();
+    float *cdata = c.data().data();
     for (std::size_t kk = 0; kk < kdim; kk += kKB) {
         const std::size_t kb = std::min(kKB, kdim - kk);
         for (std::size_t jj = 0; jj < n; jj += kJB) {
@@ -303,14 +396,17 @@ matmulScalarRows(const float *adata, const float *bdata, float *cdata,
  * AVX2+FMA NN microkernel, same blocking and row-range contract as
  * matmulScalarRows. The j loop runs 8 lanes wide with broadcast A
  * scalars; the fused multiply-adds mean outputs match the scalar
- * kernel to tolerance, not bitwise (still bit-identical across
- * row-block decompositions of itself).
+ * kernel to tolerance, not bitwise (still bit-identical across row
+ * partitions of itself).
  */
 __attribute__((target("avx2,fma"))) void
-matmulAvx2Rows(const float *adata, const float *bdata, float *cdata,
-               std::size_t i0, std::size_t i1, std::size_t kdim,
-               std::size_t n)
+matmulAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+               std::size_t i0, std::size_t i1)
 {
+    const std::size_t kdim = a.cols(), n = b.cols();
+    const float *adata = a.data().data();
+    const float *bdata = b.data().data();
+    float *cdata = c.data().data();
     for (std::size_t kk = 0; kk < kdim; kk += kKB) {
         const std::size_t kb = std::min(kKB, kdim - kk);
         for (std::size_t jj = 0; jj < n; jj += kJB) {
@@ -364,40 +460,21 @@ matmulAvx2Rows(const float *adata, const float *bdata, float *cdata,
 
 #endif // SMARTSAGE_X86_KERNELS
 
-using GemmRowsFn = void (*)(const float *, const float *, float *,
-                            std::size_t, std::size_t, std::size_t,
-                            std::size_t);
+using GemmRowsFn = void (*)(const Tensor2D &, const Tensor2D &,
+                            Tensor2D &, std::size_t, std::size_t);
 
-/**
- * Fixed row-block size for the threaded GEMM decomposition. Fixed —
- * not derived from the thread count — so the set of (i0, i1) slices,
- * and therefore every output bit, is invariant to kernel.gemm_threads.
- */
-constexpr std::size_t kRowBlock = 64;
-
-/** Run @p fn over C's rows, in parallel when gemmThreads() > 1. Each
- *  block writes a disjoint row slice, so no reduction across threads
- *  exists and the result equals the serial call bit-for-bit. */
+/** Run @p fn over C's rows through forEachRowRange. Each range writes
+ *  a disjoint row slice and keeps every element's serial reduction
+ *  order, so the result equals the serial call bit-for-bit.
+ *  @param kdim the reduction length (work estimate only) */
 void
 runGemmRows(GemmRowsFn fn, const Tensor2D &a, const Tensor2D &b,
-            Tensor2D &c)
+            Tensor2D &c, std::size_t kdim)
 {
-    const std::size_t m = a.rows(), kdim = a.cols(), n = b.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
-    float *cdata = c.data().data();
-
-    const unsigned threads = gemmThreads();
-    if (threads <= 1 || m <= kRowBlock) {
-        fn(adata, bdata, cdata, 0, m, kdim, n);
-        return;
-    }
-    const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
-    sim::parallelFor(gemmPool(threads), blocks, [&](std::size_t blk) {
-        const std::size_t i0 = blk * kRowBlock;
-        const std::size_t i1 = std::min(i0 + kRowBlock, m);
-        fn(adata, bdata, cdata, i0, i1, kdim, n);
-    });
+    forEachRowRange(c.rows(), c.rows() * c.cols() * kdim,
+                    [&](std::size_t i0, std::size_t i1) {
+                        fn(a, b, c, i0, i1);
+                    });
 }
 
 void
@@ -418,11 +495,13 @@ matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 }
 
 void
-matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulTNTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                  std::size_t i0, std::size_t i1)
 {
     // C[i][j] = sum_r A[r][i] * B[r][j]; r is the reduction dim. Rows
     // of B are processed four at a time so the panel stays cached
-    // across the full sweep of A's columns.
+    // across the sweep of A's columns [i0, i1). Every row range sweeps
+    // all of r in the same order.
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
@@ -434,7 +513,7 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
         const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
         const float *b0 = bdata + r * n;
         const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const float w0 = a0[i], w1 = a1[i], w2 = a2[i], w3 = a3[i];
             float *crow = cdata + i * n;
             for (std::size_t j = 0; j < n; ++j)
@@ -445,7 +524,7 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     for (; r < rdim; ++r) {
         const float *arow = adata + r * m;
         const float *brow = bdata + r * n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const float w = arow[i];
             float *crow = cdata + i * n;
             for (std::size_t j = 0; j < n; ++j)
@@ -456,10 +535,11 @@ matmulTNTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 
 #if SMARTSAGE_X86_KERNELS
 
-/** AVX2+FMA variant of matmulTNTiled: same 4-row B panels, j loop
- *  8 lanes wide with broadcast A weights. */
+/** AVX2+FMA variant of matmulTNTiledRows: same 4-row B panels, j
+ *  loop 8 lanes wide with broadcast A weights. */
 __attribute__((target("avx2,fma"))) void
-matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulTNAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                 std::size_t i0, std::size_t i1)
 {
     const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
     const float *adata = a.data().data();
@@ -472,7 +552,7 @@ matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
         const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
         const float *b0 = bdata + r * n;
         const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const __m256 w0 = _mm256_set1_ps(a0[i]);
             const __m256 w1 = _mm256_set1_ps(a1[i]);
             const __m256 w2 = _mm256_set1_ps(a2[i]);
@@ -495,7 +575,7 @@ matmulTNAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     for (; r < rdim; ++r) {
         const float *arow = adata + r * m;
         const float *brow = bdata + r * n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const __m256 w = _mm256_set1_ps(arow[i]);
             float *crow = cdata + i * n;
             std::size_t j = 0;
@@ -528,19 +608,20 @@ matmulNTNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 }
 
 void
-matmulNTTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulNTTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                  std::size_t i0, std::size_t i1)
 {
     // C[i][j] = dot(A row i, B row j). The reduction is split into
     // eight explicit partial-sum lanes so the compiler can map them to
     // vector registers without needing permission to reassociate a
     // single serial chain (no fast-math: NaN/Inf still propagate).
     constexpr std::size_t kLanes = 8;
-    const std::size_t m = a.rows(), n = b.rows(), kdim = a.cols();
+    const std::size_t n = b.rows(), kdim = a.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
     float *cdata = c.data().data();
 
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = i0; i < i1; ++i) {
         const float *arow = adata + i * kdim;
         float *crow = cdata + i * n;
         for (std::size_t j = 0; j < n; ++j) {
@@ -561,17 +642,18 @@ matmulNTTiled(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 
 #if SMARTSAGE_X86_KERNELS
 
-/** AVX2+FMA variant of matmulNTTiled: two 8-lane FMA accumulators per
- *  dot product, combined in a fixed order before the scalar tail. */
+/** AVX2+FMA variant of matmulNTTiledRows: two 8-lane FMA accumulators
+ *  per dot product, combined in a fixed order before the scalar tail. */
 __attribute__((target("avx2,fma"))) void
-matmulNTAvx2(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
+matmulNTAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                 std::size_t i0, std::size_t i1)
 {
-    const std::size_t m = a.rows(), n = b.rows(), kdim = a.cols();
+    const std::size_t n = b.rows(), kdim = a.cols();
     const float *adata = a.data().data();
     const float *bdata = b.data().data();
     float *cdata = c.data().data();
 
-    for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t i = i0; i < i1; ++i) {
         const float *arow = adata + i * kdim;
         float *crow = cdata + i * n;
         for (std::size_t j = 0; j < n; ++j) {
@@ -650,11 +732,11 @@ matmulAccumulate(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        runGemmRows(matmulAvx2Rows, a, b, c);
+        runGemmRows(matmulAvx2Rows, a, b, c, a.cols());
         return;
     }
 #endif
-    runGemmRows(matmulScalarRows, a, b, c);
+    runGemmRows(matmulScalarRows, a, b, c, a.cols());
 }
 
 void
@@ -668,11 +750,11 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        matmulTNAvx2(a, b, c);
+        runGemmRows(matmulTNAvx2Rows, a, b, c, a.rows());
         return;
     }
 #endif
-    matmulTNTiled(a, b, c);
+    runGemmRows(matmulTNTiledRows, a, b, c, a.rows());
 }
 
 void
@@ -687,11 +769,11 @@ matmulNTInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 #if SMARTSAGE_X86_KERNELS
     if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        matmulNTAvx2(a, b, c);
+        runGemmRows(matmulNTAvx2Rows, a, b, c, a.cols());
         return;
     }
 #endif
-    matmulNTTiled(a, b, c);
+    runGemmRows(matmulNTTiledRows, a, b, c, a.cols());
 }
 
 namespace

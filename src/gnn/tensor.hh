@@ -12,6 +12,7 @@
 #define SMARTSAGE_GNN_TENSOR_HH
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -157,15 +158,32 @@ const char *kernelDispatchName(KernelDispatch dispatch);
 KernelDispatch kernelDispatchFromKnob(double value);
 
 /**
- * GEMM worker-thread count for the row-block parallel path; <= 1 runs
- * inline on the caller. The decomposition uses a fixed row-block size
- * and each block writes a disjoint slice of C, so results are
- * bit-identical at any thread count — including 1 — for a given
- * dispatch flavor. The backing sim::ThreadPool is created lazily on
- * the first threaded GEMM and rebuilt when the count changes.
+ * Worker-thread count of the row-parallel kernels (GEMM, aggregate,
+ * feature gather); 0 selects one thread per usable CPU
+ * (sched_getaffinity, capped at 64), which is also the process
+ * default. Each kernel splits its output rows into one contiguous
+ * range per thread and every output element keeps its serial
+ * reduction order, so results are bit-identical at any thread count
+ * — including 1 — for a given dispatch flavor. The backing
+ * sim::ThreadPool is created lazily and rebuilt when the count
+ * changes; a kernel already running keeps the pool it started with.
  */
 void setGemmThreads(unsigned threads);
+/** The resolved thread count (never 0). */
 unsigned gemmThreads();
+
+/**
+ * Run @p fn(r0, r1) over a partition of [0, rows) into contiguous
+ * ranges, one per gemmThreads() thread: the caller runs the first
+ * range, the shared pool the rest, and the call returns once all have
+ * finished. @p work estimates the cost in multiply-adds (or element
+ * operations); work below a fixed per-range threshold runs inline as
+ * a single range. @p fn must write only rows in its own range and
+ * must not itself call forEachRowRange. The first exception thrown by
+ * any range is rethrown here.
+ */
+void forEachRowRange(std::size_t rows, std::size_t work,
+                     const std::function<void(std::size_t, std::size_t)> &fn);
 
 /**
  * The `kernel.*` knob block (scenario-sweepable). Settings are
@@ -175,14 +193,14 @@ unsigned gemmThreads();
 struct KernelConfig
 {
     KernelDispatch dispatch = KernelDispatch::Auto;
-    unsigned gemm_threads = 1;
+    unsigned gemm_threads = 0; //!< 0 = one per usable CPU
 };
 
 /**
  * Apply one `kernel.`-namespace knob (namespace already stripped):
  * `dispatch` (0 = auto, 1 = scalar, 2 = avx2) or `gemm_threads`
- * ([1, 64]). Fatal on out-of-range values. @return false if the key
- * is unknown
+ * ([0, 64], 0 = one per usable CPU). Fatal on out-of-range values.
+ * @return false if the key is unknown
  */
 bool applyKnob(KernelConfig &config, std::string_view key, double value);
 

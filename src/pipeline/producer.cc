@@ -112,10 +112,11 @@ runSamplingPipeline(
                 next.store(n, std::memory_order_relaxed);
                 cv_space.notify_all();
             }
-            {
-                std::unique_lock<std::mutex> lock(m);
-                --live;
-            }
+            // Notify under the lock: once live reaches 0 the consumer
+            // may return and destroy cv_ready, so this task must not
+            // touch it after releasing m.
+            std::unique_lock<std::mutex> lock(m);
+            --live;
             cv_ready.notify_all();
         });
     };

@@ -228,6 +228,51 @@ TEST(SageModel, TrainingReducesLoss)
     EXPECT_LT(avg_late, first * 0.75);
 }
 
+TEST(SageModel, TrainStepMatchesAllocatingPath)
+{
+    // trainStep skips layer 0's input gradient (the features are not
+    // trainable); the allocating forward/backward path still computes
+    // it. Parameters and losses must agree bit-for-bit. Widths straddle
+    // the GEMM tiles (kKB = 64, kJB = 128) and the 8-lane tails.
+    PowerLawParams gp;
+    gp.num_nodes = 2048;
+    gp.avg_degree = 16;
+    CsrGraph g = generatePowerLaw(gp);
+
+    ModelConfig mc;
+    mc.in_dim = 150;
+    mc.hidden_dim = 70;
+    mc.num_classes = 11;
+    mc.depth = 2;
+    SageModel fast(mc), reference(mc);
+    FeatureTable ft(g.numNodes(), mc.in_dim, mc.num_classes);
+    SageSampler sampler({10, 5});
+    Rng rng(13);
+
+    for (int step = 0; step < 3; ++step) {
+        auto targets = selectTargets(g, 200, rng);
+        Subgraph sg = sampler.sample(g, targets, rng);
+        const double fast_loss = fast.trainStep(sg, ft);
+
+        std::vector<SageContext> ctxs;
+        Tensor2D logits = reference.forward(sg, ft, &ctxs);
+        Tensor2D d;
+        const double ref_loss =
+            softmaxCrossEntropy(logits, ft.labels(sg.targets()), d);
+        auto &layers = reference.mutableLayers();
+        for (std::size_t l = layers.size(); l-- > 0;) {
+            SageLayerGrads grads;
+            Tensor2D d_src = layers[l].backward(d, ctxs[l], grads);
+            EXPECT_EQ(d_src.rows(), ctxs[l].src_rows);
+            layers[l].applyGrads(grads, mc.learning_rate);
+            d = std::move(d_src);
+        }
+        EXPECT_EQ(fast_loss, ref_loss) << "step " << step;
+        EXPECT_EQ(fast.stateHash(), reference.stateHash())
+            << "step " << step;
+    }
+}
+
 TEST(SageModel, AccuracyBeatsChanceAfterTraining)
 {
     PowerLawParams gp;
