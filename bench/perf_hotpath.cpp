@@ -4,7 +4,7 @@
  * sampling, GEMM/aggregate kernels, and the multi-worker functional
  * sampling/training pipeline — in both their naive (seed) and optimized
  * forms, plus the storage blocking-adapter overhead (direct service
- * call vs submit-and-drain through the async request layer) and the
+ * call vs the blocking call served inline on the idle channel) and the
  * feature-cache decorator's replay-path cost/benefit (raw store vs an
  * LRU-cached store on a skewed gather stream), the MSHR/coalescing
  * miss path under concurrent duplicate-heavy gathers (legacy
@@ -85,7 +85,7 @@ struct BenchConfig
 struct AdapterCost
 {
     double direct_ops_per_s = 0;  //!< serviceGather called directly
-    double adapter_ops_per_s = 0; //!< submit-and-drain blocking call
+    double adapter_ops_per_s = 0; //!< blocking readGather call
 
     /** Fraction of direct-call throughput lost to the adapter. */
     double
@@ -136,8 +136,8 @@ struct MshrCost
 /**
  * Exposes the protected service entry point so the bench can time the
  * pre-refactor equivalent (direct service-math call, no event-queue
- * machinery) against the blocking submit-and-drain adapter the sweep
- * path now rides.
+ * machinery) against the blocking readGather the sweep path rides,
+ * which serves the request inline on the idle channel.
  */
 class RawDirectIoStore : public host::DirectIoEdgeStore
 {

@@ -549,6 +549,31 @@ FeatureCacheStore::submitGather(sim::EventQueue &eq,
     }
 }
 
+sim::Tick
+FeatureCacheStore::read(sim::Tick arrival, std::uint64_t addr,
+                        std::uint64_t bytes)
+{
+    return sim::drainOne(
+        drain_eq_, arrival,
+        [&](sim::EventQueue &eq, sim::IoCompletion done) {
+            submitRead(eq, addr, bytes, std::move(done));
+        },
+        name(), ioChannel().submitted());
+}
+
+sim::Tick
+FeatureCacheStore::readGather(sim::Tick arrival,
+                              const std::vector<std::uint64_t> &addrs,
+                              unsigned entry_bytes)
+{
+    return sim::drainOne(
+        drain_eq_, arrival,
+        [&](sim::EventQueue &eq, sim::IoCompletion done) {
+            submitGather(eq, addrs, entry_bytes, std::move(done));
+        },
+        name(), ioChannel().submitted());
+}
+
 void
 FeatureCacheStore::processMisses(sim::EventQueue &eq,
                                  std::vector<std::uint64_t> unique_missing,
@@ -760,11 +785,11 @@ FeatureCacheStore::announceBlocking(
     SS_ASSERT(mshr_.empty() && parked_.empty(),
               "blocking announce with fills in flight (the blocking "
               "adapters drain fully between calls)");
-    prefetch_eq_.reset();
-    prefetch_eq_.schedule(now, [this, &addrs, entry_bytes] {
-        announceGather(prefetch_eq_, addrs, entry_bytes);
+    drain_eq_.reset();
+    drain_eq_.schedule(now, [this, &addrs, entry_bytes] {
+        announceGather(drain_eq_, addrs, entry_bytes);
     });
-    prefetch_eq_.run();
+    drain_eq_.run();
     SS_ASSERT(mshr_.empty(), "blocking announce left fills in flight");
 }
 

@@ -11,7 +11,7 @@
  * host I/O channel*; anything else flows through to the inner store
  * unchanged and fills the missed lines when the completion fires.
  * Because the decorator speaks the async submit/complete port
- * (io_path.hh) and the blocking adapters drain through that same port,
+ * (io_path.hh) and its blocking adapters drain through that same port,
  * every registered storage backend — DRAM, mmap, direct-io, PMEM,
  * sharded, tiered — gains the cache for free, in both the throughput
  * sweeps and the open-loop serving harness.
@@ -258,6 +258,15 @@ class FeatureCacheStore : public EdgeStore
                       unsigned entry_bytes, sim::IoCompletion done,
                       const sim::DispatchTag &tag = {}) override;
 
+    /** Blocking adapters: drain the MSHR port above on a private
+     *  event queue (sim::drainOne), since fills complete through
+     *  events rather than on an idle inner channel. */
+    sim::Tick read(sim::Tick arrival, std::uint64_t addr,
+                   std::uint64_t bytes) override;
+    sim::Tick readGather(sim::Tick arrival,
+                         const std::vector<std::uint64_t> &addrs,
+                         unsigned entry_bytes) override;
+
     /** Misses are the only channel users: expose the inner channel so
      *  serving stats keep meaning "requests that hit storage". */
     sim::StorageChannel &ioChannel() override
@@ -446,8 +455,9 @@ class FeatureCacheStore : public EdgeStore
     /** Prefetch-installed lines no demand touch has wanted yet; the
      *  first demand hit counts prefetch_useful and retires the entry. */
     std::unordered_set<std::uint64_t> hoarded_;
-    /** Private drain queue of announceBlocking. */
-    sim::EventQueue prefetch_eq_;
+    /** Private drain queue of the blocking calls (read, readGather,
+     *  announceBlocking); each drains it dry before returning. */
+    sim::EventQueue drain_eq_;
 };
 
 /**

@@ -31,20 +31,33 @@ EdgeStore::injectFaults(sim::Tick start, sim::Tick finish)
     return {finish, sim::IoStatus::Ok};
 }
 
+auto
+EdgeStore::readAttempt(std::uint64_t addr, std::uint64_t bytes)
+{
+    // A retried attempt re-runs the full service: cache state mutated
+    // by the failed attempt stays mutated, exactly as a real runtime
+    // re-issuing a command would find it.
+    return [this, addr, bytes](sim::Tick start, unsigned) {
+        return injectFaults(start, serviceRead(start, addr, bytes));
+    };
+}
+
+auto
+EdgeStore::gatherAttempt(const std::vector<std::uint64_t> &addrs,
+                         unsigned entry_bytes)
+{
+    return [this, &addrs, entry_bytes](sim::Tick start, unsigned) {
+        return injectFaults(start, serviceGather(start, addrs, entry_bytes));
+    };
+}
+
 void
 EdgeStore::submitRead(sim::EventQueue &eq, std::uint64_t addr,
                       std::uint64_t bytes, sim::IoCompletion done,
                       const sim::DispatchTag &tag)
 {
-    // A retried attempt re-runs the full service: cache state mutated
-    // by the failed attempt stays mutated, exactly as a real runtime
-    // re-issuing a command would find it.
-    channel_.submitFallible(
-        eq,
-        [this, addr, bytes](sim::Tick start, unsigned) {
-            return injectFaults(start, serviceRead(start, addr, bytes));
-        },
-        std::move(done), tag);
+    channel_.submitFallible(eq, readAttempt(addr, bytes), std::move(done),
+                            tag);
 }
 
 void
@@ -53,30 +66,23 @@ EdgeStore::submitGather(sim::EventQueue &eq,
                         unsigned entry_bytes, sim::IoCompletion done,
                         const sim::DispatchTag &tag)
 {
+    // An empty gather never takes a slot (readGather likewise).
     if (addrs.empty()) {
         if (done)
             done(eq.now(), sim::IoStatus::Ok);
         return;
     }
-    channel_.submitFallible(
-        eq,
-        [this, &addrs, entry_bytes](sim::Tick start, unsigned) {
-            return injectFaults(start,
-                                serviceGather(start, addrs, entry_bytes));
-        },
-        std::move(done), tag);
+    channel_.submitFallible(eq, gatherAttempt(addrs, entry_bytes),
+                            std::move(done), tag);
 }
 
 sim::Tick
 EdgeStore::read(sim::Tick arrival, std::uint64_t addr,
                 std::uint64_t bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitRead(eq, addr, bytes, std::move(done));
-        },
-        name(), ioChannel().submitted());
+    auto attempt = readAttempt(addr, bytes);
+    std::uint64_t id = channel_.submitted();
+    return sim::requireOk(channel_.serveInline(arrival, attempt), name(), id);
 }
 
 sim::Tick
@@ -84,12 +90,11 @@ EdgeStore::readGather(sim::Tick arrival,
                       const std::vector<std::uint64_t> &addrs,
                       unsigned entry_bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitGather(eq, addrs, entry_bytes, std::move(done));
-        },
-        name(), ioChannel().submitted());
+    if (addrs.empty())
+        return arrival;
+    auto attempt = gatherAttempt(addrs, entry_bytes);
+    std::uint64_t id = channel_.submitted();
+    return sim::requireOk(channel_.serveInline(arrival, attempt), name(), id);
 }
 
 sim::Tick
@@ -107,7 +112,6 @@ void
 EdgeStore::reset()
 {
     channel_.reset();
-    drain_eq_.reset();
     if (injector_)
         injector_->reset();
     resetStore();

@@ -14,9 +14,10 @@
  * slot frees, so N requests can be in flight and queue-depth contention
  * emerges under open-loop load (the serving harness, core/serving.hh).
  * Each store implements the *service* timing (serviceRead /
- * serviceGather); the classic blocking calls (read / readGather) are
- * thin submit-and-drain adapters over the async port and reproduce the
- * pre-async completion ticks exactly.
+ * serviceGather); the classic blocking calls (read / readGather) serve
+ * their one request inline on the idle channel
+ * (StorageChannel::serveInline) and reproduce the async port's
+ * completion ticks and counters exactly.
  */
 
 #ifndef SMARTSAGE_HOST_IO_PATH_HH
@@ -66,8 +67,9 @@ class EdgeStore
      * Submit a read of @p bytes at file offset @p addr at eq.now().
      * @p done fires at the tick the data is usable by the CPU.
      * Virtual so decorators (host/feature_cache.hh) can intercept the
-     * port; the blocking adapters below route through the virtual
-     * call, so a decorator covers both access styles at once. @p tag
+     * port; a decorator that does must override the blocking adapters
+     * below too, which otherwise serve inline on this store's own
+     * channel and bypass the port. @p tag
      * carries the request's scheduling metadata (priority, deadline);
      * the default tag reproduces the untagged channel exactly.
      */
@@ -97,17 +99,20 @@ class EdgeStore
     // --------------------- blocking adapters ----------------------
 
     /**
-     * Read @p bytes at file offset @p addr, issued at @p arrival:
-     * submit-and-drain over the async port (bit-identical to the
-     * pre-async blocking path). @return tick the data is usable
+     * Read @p bytes at file offset @p addr, issued at @p arrival,
+     * served inline on the idle channel: the same ticks, fault draws,
+     * retries and channel counters as submitRead plus a drained event
+     * queue, with no queue. A failed read is fatal (sim::requireOk).
+     * @pre ioChannel().idle()
+     * @return tick the data is usable
      */
-    sim::Tick read(sim::Tick arrival, std::uint64_t addr,
-                   std::uint64_t bytes);
+    virtual sim::Tick read(sim::Tick arrival, std::uint64_t addr,
+                           std::uint64_t bytes);
 
-    /** Blocking gather adapter; see submitGather. */
-    sim::Tick readGather(sim::Tick arrival,
-                         const std::vector<std::uint64_t> &addrs,
-                         unsigned entry_bytes);
+    /** Blocking gather adapter; see read and submitGather. */
+    virtual sim::Tick readGather(sim::Tick arrival,
+                                 const std::vector<std::uint64_t> &addrs,
+                                 unsigned entry_bytes);
 
     /** Display name for reports. */
     virtual const std::string &name() const = 0;
@@ -155,8 +160,17 @@ class EdgeStore
      */
     sim::IoOutcome injectFaults(sim::Tick start, sim::Tick finish);
 
+    /**
+     * One service attempt of a read (of a gather), faults applied: the
+     * sim::StorageChannel::FallibleService that submitRead
+     * (submitGather) hands the async port and read (readGather) serves
+     * inline, so both access styles share one composition.
+     */
+    auto readAttempt(std::uint64_t addr, std::uint64_t bytes);
+    auto gatherAttempt(const std::vector<std::uint64_t> &addrs,
+                       unsigned entry_bytes);
+
     sim::StorageChannel channel_;
-    sim::EventQueue drain_eq_; //!< blocking-adapter drain queue
     std::unique_ptr<sim::FaultInjector> injector_; //!< null when inert
 };
 

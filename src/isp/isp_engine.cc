@@ -34,19 +34,18 @@ sim::Tick
 IspEngine::runGroup(const NodeWork *work, std::size_t count,
                     sim::Tick arrival, IspBatchResult &result) const
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitGroup(eq, work, count, result, std::move(done));
-        },
-        cmd_queue_.name(), cmd_queue_.submitted());
+    return cmd_queue_
+        .serveInline(arrival,
+                     [&](sim::Tick start) {
+                         return serviceGroup(work, count, start, result);
+                     })
+        .finish;
 }
 
 void
 IspEngine::reset()
 {
     cmd_queue_.reset();
-    drain_eq_.reset();
 }
 
 sim::Tick

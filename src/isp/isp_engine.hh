@@ -99,9 +99,11 @@ class IspEngine
                      sim::IoCompletion done) const;
 
     /**
-     * Blocking form of submitGroup (submit-and-drain; bit-identical to
-     * the pre-async path). Exposed so the pipeline can interleave
-     * groups from concurrent workers in time order.
+     * Blocking form of submitGroup, served inline on the idle command
+     * queue (same ticks and counters as submitting and draining).
+     * Exposed so the pipeline can interleave groups from concurrent
+     * workers in time order.
+     * @pre commandQueue().idle()
      * @return tick the group's subgraph chunk lands in host DRAM
      */
     sim::Tick runGroup(const NodeWork *work, std::size_t count,
@@ -124,7 +126,6 @@ class IspEngine
     ssd::SsdDevice &ssd_;
     graph::EdgeLayout layout_;
     mutable sim::StorageChannel cmd_queue_;
-    mutable sim::EventQueue drain_eq_; //!< blocking-adapter drain queue
 };
 
 } // namespace smartsage::isp

@@ -217,17 +217,17 @@ namespace
 class CpuBatchJob : public BatchJob
 {
   public:
-    CpuBatchJob(gnn::Subgraph sg, std::vector<isp::NodeWork> work,
+    CpuBatchJob(gnn::Subgraph sg, isp::IspTraceVisitor trace,
                 host::EdgeStore &store, host::LlcModel &llc,
                 const host::HostConfig &config,
                 const graph::EdgeLayout &layout)
-        : sg_(std::move(sg)), work_(std::move(work)), store_(store),
+        : sg_(std::move(sg)), trace_(std::move(trace)), store_(store),
           llc_(llc), config_(config), layout_(layout),
           cache_(dynamic_cast<host::FeatureCacheStore *>(&store))
     {
     }
 
-    bool done() const override { return next_ >= work_.size(); }
+    bool done() const override { return next_ >= work().size(); }
 
     sim::Tick
     step(sim::Tick now) override
@@ -240,13 +240,13 @@ class CpuBatchJob : public BatchJob
         // queue behind them (prefetch is modeled, not free).
         if (next_ == 0 && cache_ && cache_->prefetchEnabled()) {
             std::vector<std::uint64_t> batch_addrs;
-            for (const isp::NodeWork &nw : work_)
+            for (const isp::NodeWork &nw : work())
                 for (std::uint64_t e : nw.entries)
                     batch_addrs.push_back(layout_.addrOf(e));
             cache_->announceBlocking(now, batch_addrs,
                                      layout_.entry_bytes);
         }
-        const isp::NodeWork &w = work_[next_++];
+        const isp::NodeWork &w = work()[next_++];
 
         // Degree/offset lookup out of host DRAM.
         sim::Tick t =
@@ -265,8 +265,10 @@ class CpuBatchJob : public BatchJob
     gnn::Subgraph takeSubgraph() override { return std::move(sg_); }
 
   private:
+    const std::vector<isp::NodeWork> &work() const { return trace_.work(); }
+
     gnn::Subgraph sg_;
-    std::vector<isp::NodeWork> work_;
+    isp::IspTraceVisitor trace_;
     std::size_t next_ = 0;
     host::EdgeStore &store_;
     host::LlcModel &llc_;
@@ -282,31 +284,31 @@ class CpuBatchJob : public BatchJob
 class IspBatchJob : public BatchJob
 {
   public:
-    IspBatchJob(gnn::Subgraph sg, std::vector<isp::NodeWork> work,
+    IspBatchJob(gnn::Subgraph sg, isp::IspTraceVisitor trace,
                 std::size_t num_targets, IspProducer &owner,
                 isp::IspEngine &engine)
-        : sg_(std::move(sg)), work_(std::move(work)), owner_(owner),
+        : sg_(std::move(sg)), trace_(std::move(trace)), owner_(owner),
           engine_(engine)
     {
         std::size_t groups =
             (num_targets + engine.config().coalesce_targets - 1) /
             engine.config().coalesce_targets;
         groups = std::max<std::size_t>(
-            1, std::min(groups, std::max<std::size_t>(work_.size(), 1)));
-        per_group_ = (work_.size() + groups - 1) / groups;
+            1, std::min(groups, std::max<std::size_t>(work().size(), 1)));
+        per_group_ = (work().size() + groups - 1) / groups;
         if (per_group_ == 0)
             per_group_ = 1;
     }
 
-    bool done() const override { return next_ >= work_.size(); }
+    bool done() const override { return next_ >= work().size(); }
 
     sim::Tick
     step(sim::Tick now) override
     {
         SS_ASSERT(!done(), "step past end of batch");
-        std::size_t n = std::min(per_group_, work_.size() - next_);
+        std::size_t n = std::min(per_group_, work().size() - next_);
         sim::Tick submit = now + engine_.config().host_submit;
-        sim::Tick t = engine_.runGroup(work_.data() + next_, n, submit,
+        sim::Tick t = engine_.runGroup(work().data() + next_, n, submit,
                                        owner_.accum());
         next_ += n;
         return t;
@@ -315,8 +317,10 @@ class IspBatchJob : public BatchJob
     gnn::Subgraph takeSubgraph() override { return std::move(sg_); }
 
   private:
+    const std::vector<isp::NodeWork> &work() const { return trace_.work(); }
+
     gnn::Subgraph sg_;
-    std::vector<isp::NodeWork> work_;
+    isp::IspTraceVisitor trace_;
     std::size_t next_ = 0;
     std::size_t per_group_ = 1;
     IspProducer &owner_;
@@ -387,8 +391,7 @@ CpuProducer::startBatch(const std::vector<graph::LocalNodeId> &targets,
 {
     isp::IspTraceVisitor trace;
     gnn::Subgraph sg = traceSample(graph_, sampler_, targets, rng, trace);
-    std::vector<isp::NodeWork> work(trace.work());
-    return std::make_unique<CpuBatchJob>(std::move(sg), std::move(work),
+    return std::make_unique<CpuBatchJob>(std::move(sg), std::move(trace),
                                          store_, host_llc_, config_,
                                          layout_);
 }
@@ -413,8 +416,7 @@ IspProducer::startBatch(const std::vector<graph::LocalNodeId> &targets,
 {
     isp::IspTraceVisitor trace;
     gnn::Subgraph sg = traceSample(graph_, sampler_, targets, rng, trace);
-    std::vector<isp::NodeWork> work(trace.work());
-    return std::make_unique<IspBatchJob>(std::move(sg), std::move(work),
+    return std::make_unique<IspBatchJob>(std::move(sg), std::move(trace),
                                          targets.size(), *this, engine_);
 }
 

@@ -51,8 +51,8 @@ class EventQueue
     Tick runUntil(Tick limit);
 
     /**
-     * Rewind the clock to 0 and drop any pending events. The blocking
-     * submit-and-drain adapters (sim/io.hh) reuse one queue across
+     * Rewind the clock to 0 and drop any pending events. Blocking
+     * drains (sim::drainOne in sim/io.hh) reuse one queue across
      * independent drains whose arrival ticks are not monotonic.
      */
     void reset();

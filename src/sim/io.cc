@@ -143,58 +143,80 @@ StorageChannel::backoffBefore(unsigned next_attempt, Rng &rng) const
     return backoff;
 }
 
-void
-StorageChannel::runAttempt(EventQueue &eq, Tick start, unsigned attempt,
-                           const std::shared_ptr<RetryState> &state,
-                           IoCompletion complete)
+StorageChannel::AttemptStep
+StorageChannel::settleAttempt(Tick start, unsigned attempt, IoOutcome out,
+                              Tick deadline, Rng &rng)
 {
-    auto deliver = [&eq](Tick at, IoStatus status, IoCompletion c) {
-        eq.schedule(at, [c = std::move(c), at, status] { c(at, status); });
-    };
-
-    // The deadline can pass while the request waits for a slot or sits
-    // in backoff; time it out without burning another service attempt.
-    if (state->deadline != 0 && start > state->deadline) {
-        ++timeouts_;
-        deliver(start, IoStatus::Timeout, std::move(complete));
-        return;
-    }
-
-    IoOutcome out = state->service(start, attempt);
     SS_ASSERT(out.finish >= start, "attempt ", attempt, " on channel '",
               name_, "' finished at ", out.finish,
               " before it started at ", start);
 
     if (out.status == IoStatus::Ok) {
-        if (state->deadline != 0 && out.finish > state->deadline) {
+        if (deadline != 0 && out.finish > deadline) {
             ++timeouts_;
-            deliver(out.finish, IoStatus::Timeout, std::move(complete));
-        } else {
-            deliver(out.finish, IoStatus::Ok, std::move(complete));
+            return {out.finish, IoStatus::Timeout, false};
         }
-        return;
+        return {out.finish, IoStatus::Ok, false};
     }
 
     if (attempt >= retry_.max_attempts) {
         ++abandoned_;
-        deliver(out.finish, out.status, std::move(complete));
-        return;
+        return {out.finish, out.status, false};
     }
 
     // Budget remains: back off, then re-run the service. The check
     // above keeps exhausted requests from drawing jitter they will
     // never use.
-    Tick next = out.finish + backoffBefore(attempt + 1, state->rng);
-    if (state->deadline != 0 && next > state->deadline) {
+    Tick next = out.finish + backoffBefore(attempt + 1, rng);
+    if (deadline != 0 && next > deadline) {
         ++timeouts_;
-        deliver(out.finish, IoStatus::Timeout, std::move(complete));
-        return;
+        return {out.finish, IoStatus::Timeout, false};
     }
     ++retries_;
-    eq.schedule(next, [this, &eq, next, attempt, state,
-                       complete = std::move(complete)]() mutable {
+    return {next, IoStatus::Ok, true};
+}
+
+void
+StorageChannel::runAttempt(EventQueue &eq, Tick start, unsigned attempt,
+                           const std::shared_ptr<RetryState> &state,
+                           IoCompletion complete)
+{
+    // The deadline can pass while the request waits for a slot or sits
+    // in backoff; attemptStep times it out without burning another
+    // service attempt.
+    AttemptStep step = attemptStep(start, attempt, state->deadline,
+                                   state->rng, state->service);
+    if (!step.retry) {
+        eq.schedule(step.at, [c = std::move(complete), step] {
+            c(step.at, step.status);
+        });
+        return;
+    }
+    eq.schedule(step.at, [this, &eq, next = step.at, attempt, state,
+                          complete = std::move(complete)]() mutable {
         runAttempt(eq, next, attempt + 1, state, std::move(complete));
     });
+}
+
+void
+StorageChannel::beginInline()
+{
+    SS_ASSERT(idle(), "inline request on channel '", name_, "' with ",
+              in_flight_, " in service and ", pending_.size(),
+              " pending: a blocking call needs an idle channel");
+    ++submitted_;
+    peak_outstanding_ = std::max<std::uint64_t>(peak_outstanding_, 1);
+    ++in_flight_;
+}
+
+void
+StorageChannel::endInline(Tick start, Tick finish)
+{
+    SS_ASSERT(finish >= start, "service on channel '", name_,
+              "' finished at ", finish, " before it started at ", start);
+    --in_flight_;
+    ++completed_;
+    total_service_ += finish - start;
 }
 
 bool
@@ -359,6 +381,20 @@ StorageChannel::reset()
 }
 
 Tick
+requireOk(IoOutcome out, std::string_view component,
+          std::uint64_t request_id)
+{
+    if (out.status != IoStatus::Ok) {
+        // A blocking caller would read whatever is in its buffer; die
+        // loudly instead of returning stale bytes.
+        SS_FATAL("blocking read on '", component, "' failed with status ",
+                 ioStatusName(out.status), " (request ", request_id,
+                 "): recovery requires the async submit path");
+    }
+    return out.finish;
+}
+
+Tick
 drainOne(EventQueue &eq, Tick arrival,
          const std::function<void(EventQueue &, IoCompletion)> &submit,
          std::string_view component, std::uint64_t request_id)
@@ -378,14 +414,7 @@ drainOne(EventQueue &eq, Tick arrival,
     });
     eq.run();
     SS_ASSERT(completed, "blocking adapter drained without a completion");
-    if (status != IoStatus::Ok) {
-        // A blocking caller would read whatever is in its buffer; die
-        // loudly instead of returning stale bytes.
-        SS_FATAL("blocking read on '", component, "' failed with status ",
-                 ioStatusName(status), " (request ", request_id,
-                 "): recovery requires the async submit path");
-    }
-    return result;
+    return requireOk({result, status}, component, request_id);
 }
 
 } // namespace smartsage::sim

@@ -12,11 +12,14 @@
  * the *service-time* math inside a dispatch; the channel layer decides
  * *when* a request may begin service.
  *
- * The legacy blocking API (`EdgeStore::read`, `SsdDevice::readBlocks`,
- * ...) survives as a thin submit-and-drain adapter over this layer: one
- * request is submitted on a private event queue and the queue is run to
- * completion, which reproduces the pre-async completion ticks exactly
- * (a single in-flight request never queues).
+ * The blocking API (`EdgeStore::read`, `SsdDevice::readBlocks`,
+ * `IspEngine::runGroup`) serves its one request inline on the idle
+ * channel (StorageChannel::serveInline): the same service math, retry
+ * rules, jitter stream and counters as submitting it and draining an
+ * event queue, with no queue at all — a lone request never waits for a
+ * slot, so the queue could change no tick. Only a decorator that owns
+ * the async port (host/feature_cache.hh) still drains a private queue
+ * (drainOne), because its MSHR fills complete through events.
  */
 
 #ifndef SMARTSAGE_SIM_IO_HH
@@ -28,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "event_queue.hh"
 #include "fault.hh"
@@ -235,6 +239,23 @@ class StorageChannel
     void submitFallible(EventQueue &eq, FallibleService service,
                         IoCompletion done, const DispatchTag &tag = {});
 
+    /**
+     * Serve one request on an idle channel without an event queue:
+     * the dispatch, retry/deadline rules, jitter fork and counters
+     * (submitted, completed, peak, retries, timeouts, abandoned, total
+     * service) of submitting it at @p arrival and draining the queue,
+     * which on an idle channel never queues it. @p service is either
+     * a plain service, `Tick(Tick start)` (submit/submitStaged: always
+     * Ok, no retry rules), or a fallible attempt, `IoOutcome(Tick
+     * start, unsigned attempt)` (submitFallible). A staged service is
+     * passed as the plain composition of its stages. The call does not
+     * fail on a non-Ok status; the caller decides (requireOk).
+     * @pre idle()
+     * @return the request's final tick and status
+     */
+    template <typename Fn>
+    IoOutcome serveInline(Tick arrival, Fn &&service);
+
     /** No request in service and none pending. */
     bool
     idle() const
@@ -265,6 +286,9 @@ class StorageChannel
     Tick totalQueueWait() const { return total_queue_wait_; }
     /** Largest single queue wait. */
     Tick maxQueueWait() const { return max_queue_wait_; }
+    /** Sum of completed requests' service intervals (dispatch to
+     *  completion, retries and backoff included). */
+    Tick totalService() const { return total_service_; }
 
     // ---- recovery counters (fallible submissions only) ----
     /** Service attempts re-run after a transient failure. */
@@ -313,10 +337,47 @@ class StorageChannel
      *  @pre !pending_.empty() */
     std::size_t pickNext() const;
 
+    /** Where one attempt leaves a fallible request. */
+    struct AttemptStep
+    {
+        Tick at;         //!< final tick, or the next attempt's start
+        IoStatus status; //!< final status; unused when retrying
+        bool retry;      //!< run the next attempt at `at`
+    };
+
+    /**
+     * The retry rules, shared by the event path (runAttempt) and
+     * serveInline: run attempt @p attempt at @p start unless the
+     * deadline already passed, then end the request (Ok, late Ok ->
+     * Timeout, budget exhausted -> abandoned) or back off into the
+     * next attempt, bumping the recovery counters.
+     */
+    template <typename Attempt>
+    AttemptStep
+    attemptStep(Tick start, unsigned attempt, Tick deadline, Rng &rng,
+                Attempt &service)
+    {
+        if (deadline != 0 && start > deadline) {
+            ++timeouts_;
+            return {start, IoStatus::Timeout, false};
+        }
+        return settleAttempt(start, attempt, service(start, attempt),
+                             deadline, rng);
+    }
+
+    /** Outcome half of attemptStep. */
+    AttemptStep settleAttempt(Tick start, unsigned attempt, IoOutcome out,
+                              Tick deadline, Rng &rng);
+
     /** Run attempt @p attempt of a fallible request at @p start. */
     void runAttempt(EventQueue &eq, Tick start, unsigned attempt,
                     const std::shared_ptr<RetryState> &state,
                     IoCompletion complete);
+
+    /** serveInline's submit/dispatch bookkeeping. @pre idle() */
+    void beginInline();
+    /** serveInline's completion bookkeeping. */
+    void endInline(Tick start, Tick finish);
 
     /** Backoff before attempt @p next_attempt (exponential, capped). */
     Tick backoffBefore(unsigned next_attempt, Rng &rng) const;
@@ -343,13 +404,50 @@ class StorageChannel
     Tick total_service_ = 0; //!< sum of per-dispatch service intervals
 };
 
+template <typename Fn>
+IoOutcome
+StorageChannel::serveInline(Tick arrival, Fn &&service)
+{
+    if constexpr (std::is_invocable_r_v<IoOutcome, Fn &, Tick, unsigned>) {
+        // submitFallible's deadline and jitter fork, taken before
+        // beginInline bumps the submission counter.
+        Tick deadline =
+            retry_.wantsDeadline() ? arrival + retry_.timeout : 0;
+        Rng rng = jitter_master_.fork(submitted_);
+        beginInline();
+        Tick start = arrival;
+        for (unsigned attempt = 1;; ++attempt) {
+            AttemptStep step =
+                attemptStep(start, attempt, deadline, rng, service);
+            if (!step.retry) {
+                endInline(arrival, step.at);
+                return {step.at, step.status};
+            }
+            start = step.at;
+        }
+    } else {
+        beginInline();
+        Tick finish = service(arrival);
+        endInline(arrival, finish);
+        return {finish, IoStatus::Ok};
+    }
+}
+
+/**
+ * The tick a blocking call returns. A blocking caller has nowhere to
+ * report a failed request, so a non-Ok @p out is fatal — @p component
+ * and @p request_id identify the offender in the message.
+ */
+Tick requireOk(IoOutcome out, std::string_view component,
+               std::uint64_t request_id);
+
 /**
  * Submit-and-drain helper implementing a blocking call on top of an
  * async submission: schedules @p submit at @p arrival on @p eq (reset
  * first), runs the queue dry, and returns the completion tick the
- * submission reported. A blocking caller has nowhere to report a
- * failed request, so a non-Ok completion is fatal — @p component and
- * @p request_id identify the offender in the message.
+ * submission reported (requireOk). For decorators whose async port
+ * completes through events; a plain channel serves blocking calls
+ * with serveInline.
  * @pre eq has no pending events
  */
 Tick drainOne(EventQueue &eq, Tick arrival,

@@ -22,18 +22,12 @@ Ftl::translate(std::uint64_t lpn) const
     return addr;
 }
 
-std::vector<std::uint64_t>
+PageRange
 Ftl::pagesSpanned(std::uint64_t addr, std::uint64_t bytes) const
 {
-    std::vector<std::uint64_t> pages;
     if (bytes == 0)
-        return pages;
-    std::uint64_t first = pageOf(addr);
-    std::uint64_t last = pageOf(addr + bytes - 1);
-    pages.reserve(last - first + 1);
-    for (std::uint64_t p = first; p <= last; ++p)
-        pages.push_back(p);
-    return pages;
+        return {pageOf(addr), pageOf(addr)};
+    return {pageOf(addr), pageOf(addr + bytes - 1) + 1};
 }
 
 } // namespace smartsage::ssd

@@ -14,13 +14,31 @@
 #define SMARTSAGE_SSD_FTL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "config.hh"
 #include "flash/config.hh"
 
 namespace smartsage::ssd
 {
+
+/** Half-open run [first, end) of logical page numbers. */
+struct PageRange
+{
+    std::uint64_t first = 0;
+    std::uint64_t end = 0;
+
+    std::uint64_t
+    size() const
+    {
+        return end - first;
+    }
+
+    bool
+    empty() const
+    {
+        return end == first;
+    }
+};
 
 /** Logical-to-physical translation for the simulated SSD. */
 class Ftl
@@ -39,11 +57,10 @@ class Ftl
     flash::PageAddress translate(std::uint64_t lpn) const;
 
     /**
-     * All distinct logical pages overlapped by the byte range
-     * [@p addr, @p addr + @p bytes).
+     * The logical pages overlapped by the byte range
+     * [@p addr, @p addr + @p bytes); empty when @p bytes is 0.
      */
-    std::vector<std::uint64_t> pagesSpanned(std::uint64_t addr,
-                                            std::uint64_t bytes) const;
+    PageRange pagesSpanned(std::uint64_t addr, std::uint64_t bytes) const;
 
   private:
     SsdConfig config_;

@@ -30,42 +30,56 @@ SsdDevice::fetchPage(sim::Tick arrival, std::uint64_t lpn)
     return in_reg + config_.page_buffer_hit;
 }
 
-void
-SsdDevice::submitRead(sim::EventQueue &eq, std::uint64_t addr,
-                      std::uint64_t bytes, sim::IoCompletion done)
+SsdDevice::BlockSpan
+SsdDevice::blockSpan(std::uint64_t addr, std::uint64_t bytes) const
 {
     SS_ASSERT(bytes > 0, "zero-length block read");
-
     // Round the range out to logical-block granularity: a block device
     // cannot transfer less than a block.
     std::uint64_t bs = config_.block_bytes;
     std::uint64_t lo = addr / bs * bs;
     std::uint64_t hi = (addr + bytes + bs - 1) / bs * bs;
-    std::uint64_t xfer = hi - lo;
+    return {lo, hi - lo};
+}
 
+sim::Tick
+SsdDevice::commandStage(sim::Tick start)
+{
+    return cores_.execute(start, config_.nvme_command).finish;
+}
+
+sim::Tick
+SsdDevice::fetchStage(sim::Tick issued, BlockSpan span)
+{
+    // Every flash page the range spans is fetched; they proceed in
+    // parallel across dies and the transfer starts once all are
+    // buffered.
+    sim::Tick ready = issued;
+    PageRange pages = ftl_.pagesSpanned(span.lo, span.bytes);
+    for (std::uint64_t lpn = pages.first; lpn < pages.end; ++lpn)
+        ready = std::max(ready, fetchPage(issued, lpn));
+    ++host_reads_;
+    bytes_to_host_ += span.bytes;
+    return ready;
+}
+
+void
+SsdDevice::submitRead(sim::EventQueue &eq, std::uint64_t addr,
+                      std::uint64_t bytes, sim::IoCompletion done)
+{
+    BlockSpan span = blockSpan(addr, bytes);
     nvme_sq_.submitStaged(
         eq,
-        [this, lo, xfer](sim::EventQueue &q, sim::Tick start,
-                         sim::IoCompletion complete) {
-            // Stage 1: NVMe command handling on the firmware cores.
-            auto cmd = cores_.execute(start, config_.nvme_command);
-            q.schedule(cmd.finish, [this, &q, lo, xfer,
-                                    issued = cmd.finish,
-                                    complete =
-                                        std::move(complete)]() mutable {
-                // Stage 2: fetch every flash page the range spans;
-                // they proceed in parallel across dies and the
-                // transfer starts once all are buffered.
-                sim::Tick ready = issued;
-                for (std::uint64_t lpn : ftl_.pagesSpanned(lo, xfer))
-                    ready = std::max(ready, fetchPage(issued, lpn));
-                ++host_reads_;
-                bytes_to_host_ += xfer;
+        [this, span](sim::EventQueue &q, sim::Tick start,
+                     sim::IoCompletion complete) {
+            sim::Tick issued = commandStage(start);
+            q.schedule(issued, [this, &q, span, issued,
+                                complete = std::move(complete)]() mutable {
+                sim::Tick ready = fetchStage(issued, span);
                 q.schedule(
-                    ready, [this, &q, xfer, ready,
+                    ready, [this, &q, span, ready,
                             complete = std::move(complete)]() mutable {
-                        // Stage 3: DMA the blocks over PCIe.
-                        sim::Tick finish = dmaToHost(ready, xfer);
+                        sim::Tick finish = dmaToHost(ready, span.bytes);
                         q.schedule(finish,
                                    [complete = std::move(complete),
                                     finish] {
@@ -82,12 +96,15 @@ sim::Tick
 SsdDevice::readBlocks(sim::Tick arrival, std::uint64_t addr,
                       std::uint64_t bytes)
 {
-    return sim::drainOne(
-        drain_eq_, arrival,
-        [&](sim::EventQueue &eq, sim::IoCompletion done) {
-            submitRead(eq, addr, bytes, std::move(done));
-        },
-        nvme_sq_.name(), nvme_sq_.submitted());
+    BlockSpan span = blockSpan(addr, bytes);
+    return nvme_sq_
+        .serveInline(arrival,
+                     [this, span](sim::Tick start) {
+                         sim::Tick ready =
+                             fetchStage(commandStage(start), span);
+                         return dmaToHost(ready, span.bytes);
+                     })
+        .finish;
 }
 
 sim::Tick
@@ -110,7 +127,6 @@ SsdDevice::reset()
     flash_.reset();
     pcie_.reset();
     nvme_sq_.reset();
-    drain_eq_.reset();
     host_reads_ = 0;
     bytes_to_host_ = 0;
 }

@@ -50,8 +50,10 @@ class SsdDevice
                     std::uint64_t bytes, sim::IoCompletion done);
 
     /**
-     * Host block read, blocking form: submit-and-drain over the async
-     * port (bit-identical to the pre-async path).
+     * Host block read, blocking form: served inline on the idle NVMe
+     * queue through the same three stages as submitRead, so ticks and
+     * counters equal submitting it and draining an event queue.
+     * @pre nvmeQueue().idle()
      *
      * @param arrival tick the NVMe command reaches the device
      * @return tick the last byte lands in host memory
@@ -92,6 +94,24 @@ class SsdDevice
     void reset();
 
   private:
+    /** A read rounded out to whole logical blocks. */
+    struct BlockSpan
+    {
+        std::uint64_t lo;    //!< first byte, block-aligned
+        std::uint64_t bytes; //!< whole blocks
+    };
+    BlockSpan blockSpan(std::uint64_t addr, std::uint64_t bytes) const;
+
+    // The three stages of a host read, shared by the event-driven
+    // submitRead and the inline readBlocks; stage 3 is dmaToHost.
+
+    /** Stage 1: NVMe command handling on the firmware cores.
+     *  @return tick the flash reads issue */
+    sim::Tick commandStage(sim::Tick start);
+    /** Stage 2: fetch every flash page @p span covers.
+     *  @return tick the last page is buffered */
+    sim::Tick fetchStage(sim::Tick issued, BlockSpan span);
+
     SsdConfig config_;
     Ftl ftl_;
     PageBuffer buffer_;
@@ -99,7 +119,6 @@ class SsdDevice
     flash::FlashArray flash_;
     sim::BandwidthLink pcie_;
     sim::StorageChannel nvme_sq_;
-    sim::EventQueue drain_eq_; //!< blocking-adapter drain queue
     std::uint64_t host_reads_ = 0;
     std::uint64_t bytes_to_host_ = 0;
 };

@@ -21,6 +21,7 @@
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "ssd/sharded_ssd.hh"
+#include "ssd/ssd_device.hh"
 
 using namespace smartsage;
 using namespace smartsage::core;
@@ -188,6 +189,75 @@ TEST(AsyncBlocking, AgreeTickForTickUnderFaults)
     EXPECT_GT(blocking.ioChannel().retries(), 0u);
     EXPECT_EQ(blocking.ioChannel().retries(),
               async.ioChannel().retries());
+}
+
+TEST(AsyncBlocking, DirectIoStackAgreesCounterForCounterUnderFaults)
+{
+    // The whole host stack inline (store channel, scratchpad, NVMe
+    // queue, flash) against the same stack driven through the store's
+    // async port, over a mix of single reads and coalesced gathers
+    // with injected errors, slowdowns and ECC re-reads.
+    host::HostConfig config;
+    config.scratchpad_bytes = sim::KiB(256);
+    config.fault.read_error_rate = 0.25;
+    config.fault.slow_rate = 0.2;
+    config.retry.max_attempts = 10;
+    ssd::SsdConfig ssd_config;
+    ssd_config.page_buffer_bytes = sim::MiB(1);
+    ssd_config.flash.fault.ecc_rate = 0.1;
+    ssd::SsdDevice blocking_ssd(ssd_config), async_ssd(ssd_config);
+    host::DirectIoEdgeStore blocking(config, blocking_ssd);
+    host::DirectIoEdgeStore async(config, async_ssd);
+
+    sim::Rng rng(0xd1ec7);
+    sim::Tick t_blocking = 0, t_async = 0;
+    std::vector<std::uint64_t> addrs;
+    for (int i = 0; i < 96; ++i) {
+        bool gather = i % 3 != 0;
+        addrs.clear();
+        std::uint64_t base = rng.nextBounded(sim::MiB(8));
+        for (int k = 0; k < (gather ? 9 : 1); ++k)
+            addrs.push_back(base + rng.nextBounded(sim::KiB(32)));
+
+        t_blocking = gather ? blocking.readGather(t_blocking, addrs, 8)
+                            : blocking.read(t_blocking, addrs[0], 64);
+
+        sim::EventQueue eq;
+        sim::Tick finish = 0;
+        auto done = [&](sim::Tick f, sim::IoStatus s) {
+            EXPECT_EQ(s, sim::IoStatus::Ok);
+            finish = f;
+        };
+        eq.schedule(t_async, [&] {
+            if (gather)
+                async.submitGather(eq, addrs, 8, done);
+            else
+                async.submitRead(eq, addrs[0], 64, done);
+        });
+        eq.run();
+        t_async = finish;
+        ASSERT_EQ(t_blocking, t_async) << "request " << i;
+    }
+
+    auto same_channel = [](const sim::StorageChannel &a,
+                           const sim::StorageChannel &b) {
+        EXPECT_EQ(a.submitted(), b.submitted());
+        EXPECT_EQ(a.completed(), b.completed());
+        EXPECT_EQ(a.peakOutstanding(), b.peakOutstanding());
+        EXPECT_EQ(a.retries(), b.retries());
+        EXPECT_EQ(a.timeouts(), b.timeouts());
+        EXPECT_EQ(a.abandoned(), b.abandoned());
+        EXPECT_EQ(a.totalService(), b.totalService());
+    };
+    same_channel(blocking.ioChannel(), async.ioChannel());
+    same_channel(blocking_ssd.nvmeQueue(), async_ssd.nvmeQueue());
+    EXPECT_GT(blocking.ioChannel().retries(), 0u);
+    EXPECT_GT(blocking_ssd.eccRetries(), 0u);
+    EXPECT_EQ(blocking_ssd.eccRetries(), async_ssd.eccRetries());
+    EXPECT_EQ(blocking_ssd.hostReads(), async_ssd.hostReads());
+    EXPECT_EQ(blocking_ssd.bytesToHost(), async_ssd.bytesToHost());
+    EXPECT_EQ(blocking.submits(), async.submits());
+    EXPECT_EQ(blocking.scratchpadHitRate(), async.scratchpadHitRate());
 }
 
 TEST(SystemKnobs, FaultAndRetryNamespacesDispatch)

@@ -1,16 +1,21 @@
 /** @file StorageChannel recovery goldens: exponential backoff with
  *  zero jitter is tick-exact, deadlines convert retries into timeouts,
  *  exhausted budgets abandon with TransientError, a retrying request
- *  holds its queue slot, and the blocking adapters die loudly on a
- *  failed request (there is nowhere to report one). Label `fault`. */
+ *  holds its queue slot, serveInline on an idle channel matches the
+ *  event path tick for tick and counter for counter, and the blocking
+ *  adapters die loudly on a failed request (there is nowhere to report
+ *  one). Label `fault`. */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "host/feature_cache.hh"
 #include "host/io_path.hh"
 #include "sim/event_queue.hh"
 #include "sim/io.hh"
+#include "sim/resource.hh"
 
 using namespace smartsage;
 using namespace smartsage::sim;
@@ -51,6 +56,84 @@ exactPolicy(unsigned attempts, Tick base = us(100), Tick cap = ms(10))
     p.backoff_cap = cap;
     p.jitter = 0.0;
     return p;
+}
+
+/** Every lifetime and recovery counter a channel exposes. */
+struct ChannelCounters
+{
+    std::uint64_t submitted, completed, peak, queued;
+    Tick queue_wait, max_queue_wait;
+    std::uint64_t retries, timeouts, abandoned, shed;
+    Tick service;
+
+    bool operator==(const ChannelCounters &) const = default;
+};
+
+ChannelCounters
+countersOf(const StorageChannel &ch)
+{
+    return {ch.submitted(),   ch.completed(),     ch.peakOutstanding(),
+            ch.queuedCount(), ch.totalQueueWait(), ch.maxQueueWait(),
+            ch.retries(),     ch.timeouts(),      ch.abandoned(),
+            ch.shedAdmission(), ch.totalService()};
+}
+
+void
+expectSameCounters(const StorageChannel &a, const StorageChannel &b)
+{
+    ChannelCounters ca = countersOf(a), cb = countersOf(b);
+    EXPECT_EQ(ca.submitted, cb.submitted);
+    EXPECT_EQ(ca.completed, cb.completed);
+    EXPECT_EQ(ca.peak, cb.peak);
+    EXPECT_EQ(ca.retries, cb.retries);
+    EXPECT_EQ(ca.timeouts, cb.timeouts);
+    EXPECT_EQ(ca.abandoned, cb.abandoned);
+    EXPECT_EQ(ca.service, cb.service);
+    EXPECT_TRUE(ca == cb);
+}
+
+/**
+ * Serve the same scripted requests one after another on twin
+ * channels: through submitFallible plus a drained event queue on one,
+ * through serveInline on the other. Each request arrives @p gap after
+ * the previous one finished. Every finish tick, status, attempt start
+ * and counter must agree. @return the statuses, in order
+ */
+std::vector<IoStatus>
+expectInlineMatchesEvents(const RetryPolicy &policy,
+                          const std::vector<std::vector<IoStatus>> &scripts,
+                          Tick gap = us(3))
+{
+    StorageChannel evented("twin", 2), inlined("twin", 2);
+    evented.setRetryPolicy(policy);
+    inlined.setRetryPolicy(policy);
+    std::vector<IoStatus> statuses;
+    Tick arrival = us(1);
+    for (const auto &script : scripts) {
+        ScriptedService ev_svc{script}, in_svc{script};
+        EventQueue eq;
+        IoOutcome ev{0, IoStatus::Ok};
+        bool completed = false;
+        eq.schedule(arrival, [&] {
+            evented.submitFallible(eq, ev_svc.make(),
+                                   [&](Tick f, IoStatus s) {
+                                       ev = {f, s};
+                                       completed = true;
+                                   });
+        });
+        eq.run();
+        IoOutcome in = inlined.serveInline(arrival, in_svc.make());
+
+        EXPECT_TRUE(completed);
+        EXPECT_EQ(in.finish, ev.finish);
+        EXPECT_EQ(in.status, ev.status);
+        EXPECT_EQ(in_svc.starts, ev_svc.starts);
+        expectSameCounters(inlined, evented);
+        EXPECT_TRUE(inlined.idle());
+        statuses.push_back(in.status);
+        arrival = in.finish + gap;
+    }
+    return statuses;
 }
 
 } // namespace
@@ -294,6 +377,157 @@ TEST(RetryChannel, JitterReplaysAfterReset)
     EXPECT_FALSE(all_equal);
 }
 
+TEST(InlineChannel, OkMatchesTheEventPath)
+{
+    auto statuses = expectInlineMatchesEvents(
+        RetryPolicy{}, {{IoStatus::Ok}, {IoStatus::Ok}, {IoStatus::Ok}});
+    EXPECT_EQ(statuses, std::vector<IoStatus>(3, IoStatus::Ok));
+}
+
+TEST(InlineChannel, LateOkTimesOutLikeTheEventPath)
+{
+    RetryPolicy p = exactPolicy(3);
+    p.timeout = us(5); // the 10 us service lands past the deadline
+    auto statuses = expectInlineMatchesEvents(p, {{IoStatus::Ok}});
+    EXPECT_EQ(statuses[0], IoStatus::Timeout);
+}
+
+TEST(InlineChannel, RetriesStarvedPastTheDeadlineTimeOut)
+{
+    // Attempt 1 fails at 10 us, the retry starts at 110 us (inside the
+    // 115 us deadline) and succeeds at 120 us: too late.
+    RetryPolicy p = exactPolicy(3);
+    p.timeout = us(115);
+    auto statuses = expectInlineMatchesEvents(
+        p, {{IoStatus::TransientError, IoStatus::Ok}});
+    EXPECT_EQ(statuses[0], IoStatus::Timeout);
+}
+
+TEST(InlineChannel, ExhaustedBudgetAbandonsLikeTheEventPath)
+{
+    auto statuses = expectInlineMatchesEvents(
+        exactPolicy(2),
+        {{IoStatus::TransientError, IoStatus::TransientError},
+         {IoStatus::TransientError, IoStatus::Ok}});
+    EXPECT_EQ(statuses, (std::vector<IoStatus>{IoStatus::TransientError,
+                                               IoStatus::Ok}));
+}
+
+TEST(InlineChannel, BackoffPastTheDeadlineTimesOut)
+{
+    RetryPolicy p = exactPolicy(3);
+    p.timeout = us(50); // attempt 2 would start at 110 us
+    auto statuses =
+        expectInlineMatchesEvents(p, {{IoStatus::TransientError}});
+    EXPECT_EQ(statuses[0], IoStatus::Timeout);
+}
+
+TEST(InlineChannel, JitterDrawsMatchTheEventPath)
+{
+    // Jittered backoff forks the stream by submission index: twelve
+    // flaky requests must see the same draws on both paths, and the
+    // draws must actually differ between requests.
+    RetryPolicy p = exactPolicy(4);
+    p.jitter = 0.5;
+    std::vector<std::vector<IoStatus>> scripts(
+        12, {IoStatus::TransientError, IoStatus::TransientError,
+             IoStatus::Ok});
+    expectInlineMatchesEvents(p, scripts, 0);
+
+    StorageChannel ch("jitter", 1);
+    ch.setRetryPolicy(p);
+    std::vector<Tick> spans;
+    for (const auto &script : scripts) {
+        ScriptedService svc{script};
+        spans.push_back(ch.serveInline(0, svc.make()).finish);
+    }
+    bool all_equal = true;
+    for (Tick t : spans)
+        all_equal = all_equal && t == spans[0];
+    EXPECT_FALSE(all_equal);
+}
+
+TEST(InlineChannel, PlainServiceMatchesSubmitAndIgnoresTheDeadline)
+{
+    // submit() never applies the retry rules, so neither may the plain
+    // form of serveInline, even with a deadline the service overruns.
+    RetryPolicy p = exactPolicy(3);
+    p.timeout = us(5);
+    StorageChannel evented("plain", 2), inlined("plain", 2);
+    evented.setRetryPolicy(p);
+    inlined.setRetryPolicy(p);
+    Server ev_server("srv"), in_server("srv");
+    Tick arrival = 0;
+    EventQueue eq;
+    for (int i = 0; i < 4; ++i) {
+        Tick ev = drainOne(
+            eq, arrival,
+            [&](EventQueue &q, IoCompletion done) {
+                evented.submit(
+                    q,
+                    [&](Tick start) {
+                        return ev_server.request(start, us(10)).finish;
+                    },
+                    std::move(done));
+            });
+        IoOutcome in = inlined.serveInline(arrival, [&](Tick start) {
+            return in_server.request(start, us(10)).finish;
+        });
+        EXPECT_EQ(in.finish, ev);
+        EXPECT_EQ(in.status, IoStatus::Ok);
+        expectSameCounters(inlined, evented);
+        arrival += us(4); // overlaps the server's previous request
+    }
+    EXPECT_EQ(inlined.timeouts(), 0u);
+}
+
+TEST(InlineChannel, StagedServiceMatchesSubmitStaged)
+{
+    // A staged service is served inline as the composition of its
+    // stages; the stage side effects run in the same order.
+    StorageChannel evented("staged", 1), inlined("staged", 1);
+    Server ev_a("a"), ev_b("b"), in_a("a"), in_b("b");
+    Tick arrival = us(2);
+    for (int i = 0; i < 3; ++i) {
+        EventQueue eq;
+        Tick ev = drainOne(eq, arrival, [&](EventQueue &q,
+                                            IoCompletion done) {
+            evented.submitStaged(
+                q,
+                [&](EventQueue &sq, Tick start, IoCompletion complete) {
+                    Tick mid = ev_a.request(start, us(7)).finish;
+                    sq.schedule(mid, [&, mid,
+                                      complete = std::move(complete)] {
+                        Tick end = ev_b.request(mid, us(3)).finish;
+                        sq.schedule(end, [complete, end] {
+                            complete(end, IoStatus::Ok);
+                        });
+                    });
+                },
+                std::move(done));
+        });
+        IoOutcome in = inlined.serveInline(arrival, [&](Tick start) {
+            Tick mid = in_a.request(start, us(7)).finish;
+            return in_b.request(mid, us(3)).finish;
+        });
+        EXPECT_EQ(in.finish, ev);
+        expectSameCounters(inlined, evented);
+        arrival += us(5);
+    }
+}
+
+TEST(InlineChannel, BusyChannelPanics)
+{
+    EventQueue eq;
+    StorageChannel ch("busy", 2);
+    // Dispatched at once and left in flight: its completion event is
+    // never run.
+    ch.submit(eq, [](Tick start) { return start + us(10); }, {});
+    ASSERT_FALSE(ch.idle());
+    EXPECT_DEATH(ch.serveInline(0, [](Tick start) { return start; }),
+                 "inline request on channel 'busy'");
+}
+
 TEST(BlockingAdapter, DiesOnAFailedRequest)
 {
     EventQueue eq;
@@ -324,7 +558,41 @@ TEST(BlockingAdapter, EdgeStoreBlockingReadsNameTheComponent)
     config.fault.read_error_rate = 1.0;
     config.retry.max_attempts = 1;
     host::DramEdgeStore store(config);
-    EXPECT_DEATH(store.read(0, 0, 8), "DRAM");
+    EXPECT_DEATH(store.read(0, 0, 8),
+                 "blocking read on 'DRAM' failed with status "
+                 "transient-error \\(request 0\\)");
     const std::vector<std::uint64_t> addrs{0, 64, 128};
-    EXPECT_DEATH(store.readGather(0, addrs, 8), "DRAM");
+    EXPECT_DEATH(store.readGather(0, addrs, 8), "DRAM.*request 0");
+
+    // The request id is the store channel's submission index: a
+    // one-XPLine PMEM read (320 ns) meets a 1 us deadline, a 64-line
+    // one does not.
+    host::HostConfig pmem_config;
+    pmem_config.retry.timeout = us(1);
+    host::PmemEdgeStore pmem(pmem_config);
+    EXPECT_DEATH(
+        {
+            pmem.readGather(0, {}, 8); // empty: takes no request id
+            pmem.read(0, 0, 8);
+            pmem.read(us(5), 0, sim::KiB(16));
+        },
+        "blocking read on 'PMEM' failed with status timeout "
+        "\\(request 1\\)");
+}
+
+TEST(BlockingAdapter, FeatureCacheBlockingReadsNameTheDecorator)
+{
+    // The decorator keeps the drained MSHR port; its failed fills die
+    // the same way, naming the decorator and the inner request id.
+    host::HostConfig config;
+    config.fault.read_error_rate = 1.0;
+    config.retry.max_attempts = 1;
+    host::FeatureCacheParams params;
+    params.capacity_bytes = sim::KiB(64);
+    host::FeatureCacheStore cache(
+        std::make_unique<host::DramEdgeStore>(config), params);
+    const std::vector<std::uint64_t> addrs{0, 64, 128};
+    ASSERT_EQ(cache.name(), "DRAM + lru cache");
+    EXPECT_DEATH(cache.readGather(0, addrs, 8),
+                 "blocking read on 'DRAM \\+ lru cache'.*request 0");
 }

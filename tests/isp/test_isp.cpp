@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "gnn/sampler.hh"
 #include "graph/powerlaw.hh"
 #include "isp/fpga_csd.hh"
 #include "isp/isp_engine.hh"
+#include "sim/event_queue.hh"
 
 using namespace smartsage;
 using namespace smartsage::isp;
@@ -77,6 +82,104 @@ TEST(NsConfig, TotalEntriesMatchesSum)
     for (const auto &w : trace.work())
         sum += w.entries.size();
     EXPECT_EQ(trace.totalEntries(), sum);
+}
+
+// Entry views point into the trace's own buffer: a copy would alias
+// the source's buffer, so only moves are allowed.
+static_assert(!std::is_copy_constructible_v<IspTraceVisitor>);
+static_assert(!std::is_copy_assignable_v<IspTraceVisitor>);
+static_assert(std::is_nothrow_move_constructible_v<IspTraceVisitor>);
+static_assert(std::is_nothrow_move_assignable_v<IspTraceVisitor>);
+
+TEST(NsConfig, EntriesSurviveAMove)
+{
+    graph::CsrGraph g = testGraph();
+    IspTraceVisitor trace = traceBatch(g, 64);
+    std::vector<std::vector<std::uint64_t>> snapshot;
+    std::vector<const std::uint64_t *> views;
+    for (const auto &w : trace.work()) {
+        snapshot.emplace_back(w.entries.begin(), w.entries.end());
+        views.push_back(w.entries.data());
+    }
+    ASSERT_GT(trace.totalEntries(), 0u);
+
+    IspTraceVisitor moved(std::move(trace));
+    IspTraceVisitor assigned = traceBatch(g, 8, 99);
+    assigned = std::move(moved);
+    ASSERT_EQ(assigned.work().size(), snapshot.size());
+    EXPECT_EQ(assigned.numTargets(), 64u);
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+        const auto &entries = assigned.work()[i].entries;
+        EXPECT_EQ(entries.data(), views[i]) << "node " << i;
+        EXPECT_TRUE(std::equal(entries.begin(), entries.end(),
+                               snapshot[i].begin(), snapshot[i].end()))
+            << "node " << i;
+    }
+}
+
+TEST(NsConfig, EntryCountMatchesSampledEdgesForBothSamplers)
+{
+    graph::CsrGraph g = testGraph();
+    gnn::SageSampler sage({10, 5});
+    gnn::SaintSampler saint(4);
+    for (const gnn::AnySampler *sampler :
+         {static_cast<const gnn::AnySampler *>(&sage),
+          static_cast<const gnn::AnySampler *>(&saint)}) {
+        sim::Rng rng(21);
+        auto targets = gnn::selectTargets(g, 128, rng);
+        IspTraceVisitor trace;
+        gnn::Subgraph sg = sampler->sample(g, targets, rng, &trace);
+        std::uint64_t sum = 0;
+        for (const auto &w : trace.work())
+            sum += w.entries.size();
+        EXPECT_GT(sum, 0u);
+        EXPECT_EQ(sum, sg.totalSampledEdges());
+        EXPECT_EQ(trace.totalEntries(), sum);
+    }
+}
+
+TEST(IspEngine, InlineGroupsMatchDrainedSubmissions)
+{
+    // runGroup serves each group inline on the idle command queue; it
+    // must match submitGroup plus a drained event queue on a twin
+    // engine and device, group by group.
+    graph::CsrGraph g = testGraph();
+    graph::EdgeLayout layout;
+    ssd::SsdDevice ssd_inline(testSsd()), ssd_drained(testSsd());
+    IspEngine inlined(IspConfig{}, ssd_inline, layout);
+    IspEngine drained(IspConfig{}, ssd_drained, layout);
+    IspTraceVisitor trace = traceBatch(g, 256);
+    const auto &work = trace.work();
+    const std::size_t per_group = 40;
+
+    IspBatchResult r_inline, r_drained;
+    sim::Tick arrival = 100;
+    for (std::size_t lo = 0; lo < work.size(); lo += per_group) {
+        std::size_t n = std::min(per_group, work.size() - lo);
+        sim::Tick t_inline =
+            inlined.runGroup(work.data() + lo, n, arrival, r_inline);
+        sim::EventQueue eq;
+        sim::Tick t_drained = 0;
+        eq.schedule(arrival, [&] {
+            drained.submitGroup(eq, work.data() + lo, n, r_drained,
+                                [&](sim::Tick f, sim::IoStatus) {
+                                    t_drained = f;
+                                });
+        });
+        eq.run();
+        ASSERT_EQ(t_inline, t_drained) << "group at " << lo;
+        arrival += sim::us(20); // overlaps the previous group's tail
+    }
+    EXPECT_EQ(r_inline.commands, r_drained.commands);
+    EXPECT_EQ(r_inline.flash_pages, r_drained.flash_pages);
+    EXPECT_EQ(r_inline.bytes_to_host, r_drained.bytes_to_host);
+    EXPECT_EQ(r_inline.bytes_from_host, r_drained.bytes_from_host);
+    const sim::StorageChannel &a = inlined.commandQueue();
+    const sim::StorageChannel &b = drained.commandQueue();
+    EXPECT_EQ(a.submitted(), b.submitted());
+    EXPECT_EQ(a.completed(), b.completed());
+    EXPECT_EQ(a.peakOutstanding(), b.peakOutstanding());
+    EXPECT_EQ(a.totalService(), b.totalService());
 }
 
 TEST(IspEngine, RunBatchProducesConsistentResult)

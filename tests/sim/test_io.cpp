@@ -1,12 +1,14 @@
 /** @file Unit tests for the async storage request layer (sim/io.hh):
  *  StorageChannel admission, queue-depth bounding, the submit-and-drain
- *  blocking adapter, and the async ports of SsdDevice / FlashArray. */
+ *  helper, SsdDevice's inline blocking reads against its async port,
+ *  and the async ports of SsdDevice / FlashArray. */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/io.hh"
+#include "sim/random.hh"
 #include "sim/resource.hh"
 #include "ssd/ssd_device.hh"
 
@@ -243,6 +245,44 @@ TEST(SsdAsync, BlockingAdapterMatchesSingleAsyncSubmission)
     EXPECT_EQ(async, blocking);
     EXPECT_EQ(async_dev.hostReads(), blocking_dev.hostReads());
     EXPECT_EQ(async_dev.bytesToHost(), blocking_dev.bytesToHost());
+}
+
+TEST(SsdAsync, InlineReadsMatchTheStagedPathCounterForCounter)
+{
+    // readBlocks serves inline through the same three stages the
+    // event-driven submitRead schedules; a run of overlapping,
+    // unaligned, multi-page reads must leave both devices identical.
+    ssd::SsdConfig cfg;
+    cfg.page_buffer_bytes = sim::KiB(256);
+    ssd::SsdDevice blocking_dev(cfg), async_dev(cfg);
+    Rng rng(0x55d);
+    Tick arrival = 0;
+    for (int i = 0; i < 64; ++i) {
+        std::uint64_t addr = rng.nextBounded(sim::MiB(4));
+        std::uint64_t bytes = 1 + rng.nextBounded(sim::KiB(40));
+        Tick blocking = blocking_dev.readBlocks(arrival, addr, bytes);
+        EventQueue eq;
+        Tick async = 0;
+        eq.schedule(arrival, [&] {
+            async_dev.submitRead(eq, addr, bytes,
+                                 [&](Tick f, IoStatus) { async = f; });
+        });
+        eq.run();
+        ASSERT_EQ(blocking, async) << "read " << i;
+        arrival += rng.nextBounded(us(40)); // often still busy inside
+    }
+    const StorageChannel &a = blocking_dev.nvmeQueue();
+    const StorageChannel &b = async_dev.nvmeQueue();
+    EXPECT_EQ(a.submitted(), b.submitted());
+    EXPECT_EQ(a.completed(), b.completed());
+    EXPECT_EQ(a.peakOutstanding(), b.peakOutstanding());
+    EXPECT_EQ(a.totalService(), b.totalService());
+    EXPECT_EQ(blocking_dev.hostReads(), async_dev.hostReads());
+    EXPECT_EQ(blocking_dev.bytesToHost(), async_dev.bytesToHost());
+    EXPECT_EQ(blocking_dev.pageBuffer().hitRate(),
+              async_dev.pageBuffer().hitRate());
+    EXPECT_EQ(blocking_dev.flashArray().pagesRead(),
+              async_dev.flashArray().pagesRead());
 }
 
 TEST(SsdAsync, ConcurrentReadsOverlapInsideTheDevice)

@@ -65,6 +65,9 @@ TEST(Ftl, PagesSpannedCoversRange)
     EXPECT_EQ(ftl.pagesSpanned(pb - 1, 2).size(), 2u);
     EXPECT_EQ(ftl.pagesSpanned(0, 3 * pb).size(), 3u);
     EXPECT_TRUE(ftl.pagesSpanned(0, 0).empty());
+    PageRange r = ftl.pagesSpanned(2 * pb + 1, pb);
+    EXPECT_EQ(r.first, 2u);
+    EXPECT_EQ(r.end, 4u);
 }
 
 TEST(PageBuffer, HitAfterInsert)
