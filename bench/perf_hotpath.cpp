@@ -105,20 +105,18 @@ struct CacheCost
     double hit_frac = 0;         //!< line hit rate the stream reached
 };
 
-/** Tiled-GEMM GFLOP/s under each runtime-dispatched microkernel. */
-struct DispatchCost
+/** GEMM GFLOP/s of the naive reference and the tiled kernel. */
+struct KernelCost
 {
     double naive_gflops = 0;    //!< KernelMode::Naive reference loops
-    double scalar_gflops = 0;   //!< tiled, scalar-portable microkernel
-    double avx2_gflops = 0;     //!< tiled, AVX2+FMA (0 if unsupported)
-    double threaded_gflops = 0; //!< tiled, auto flavor, pool workers
+    double tiled_gflops = 0;    //!< tiled kernel, one thread
+    double threaded_gflops = 0; //!< tiled kernel, pool workers
     unsigned gemm_threads = 1;  //!< thread count of the threaded run
-    bool avx2_supported = false;
 
     double
-    avx2Speedup() const
+    tiledSpeedup() const
     {
-        return naive_gflops > 0 ? avx2_gflops / naive_gflops : 0.0;
+        return naive_gflops > 0 ? tiled_gflops / naive_gflops : 0.0;
     }
 };
 
@@ -413,36 +411,25 @@ gemmGflops(F &&call, double flops, std::size_t reps,
 }
 
 /**
- * The dispatch leg: one GEMM shape through every microkernel flavor
- * the runtime can select — the naive reference, the scalar-portable
- * tile, the AVX2+FMA tile (when the host supports it), and the
- * thread-parallel row-range decomposition on top of the best flavor.
+ * The kernel leg: one GEMM shape through the naive reference, the
+ * tiled kernel on one thread, and the tiled kernel's thread-parallel
+ * row-range decomposition.
  */
-DispatchCost
-benchKernelDispatch(const BenchConfig &cfg, const gnn::Tensor2D &a,
-                    const gnn::Tensor2D &w, double flops)
+KernelCost
+benchKernel(const BenchConfig &cfg, const gnn::Tensor2D &a,
+            const gnn::Tensor2D &w, double flops)
 {
-    DispatchCost cost;
-    cost.avx2_supported = gnn::cpuSupportsAvx2();
+    KernelCost cost;
     auto call = [&] { gnn::matmul(a, w); };
     cost.naive_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                    gnn::KernelMode::Naive);
     {
-        // The flavor legs measure one thread; the last leg threads.
         gnn::ScopedGemmThreads one(1);
-        gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Scalar);
-        cost.scalar_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                        gnn::KernelMode::Tiled);
-    }
-    if (cost.avx2_supported) {
-        gnn::ScopedGemmThreads one(1);
-        gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Avx2);
-        cost.avx2_gflops = gemmGflops(call, flops, cfg.kernel_reps,
-                                      gnn::KernelMode::Tiled);
+        cost.tiled_gflops = gemmGflops(call, flops, cfg.kernel_reps,
+                                       gnn::KernelMode::Tiled);
     }
     {
         cost.gemm_threads = std::min(cfg.workers, 8u);
-        gnn::ScopedKernelDispatch guard(gnn::KernelDispatch::Auto);
         gnn::ScopedGemmThreads threads(cost.gemm_threads);
         cost.threaded_gflops = gemmGflops(call, flops, cfg.kernel_reps,
                                           gnn::KernelMode::Tiled);
@@ -529,20 +516,19 @@ benchPipeline(const graph::CsrGraph &g, const BenchConfig &cfg)
     return p;
 }
 
-/** The bench's pass/fail line; the AVX2 bar applies only where the
- *  host can run the AVX2 microkernel at all. */
+/** The bench's pass/fail line. */
 bool
 acceptancePass(const Pair &sampler, const Pair &pipeline,
-               const DispatchCost &dispatch)
+               const KernelCost &kernel)
 {
     return sampler.speedup() >= 3.0 && pipeline.speedup() >= 2.0 &&
-           (!dispatch.avx2_supported || dispatch.avx2Speedup() >= 2.0);
+           kernel.tiledSpeedup() >= 2.0;
 }
 
 void
 writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
           const Pair &mm, const Pair &mm_tn, const Pair &mm_nt,
-          const Pair &pipeline, const DispatchCost &dispatch,
+          const Pair &pipeline, const KernelCost &kernel,
           const AdapterCost &adapter, const CacheCost &cache,
           const MshrCost &mshr)
 {
@@ -556,7 +542,7 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     os.precision(6);
     os << "{\n"
        << "  \"bench\": \"perf_hotpath\",\n"
-       << "  \"schema_version\": 1,\n"
+       << "  \"schema_version\": 2,\n"
        << "  \"config\": {\n"
        << "    \"num_nodes\": " << cfg.num_nodes << ",\n"
        << "    \"avg_degree\": " << cfg.avg_degree << ",\n"
@@ -566,7 +552,8 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
         os << ", " << cfg.fanouts[i];
     os << "],\n"
        << "    \"dim\": " << cfg.dim << ",\n"
-       << "    \"workers\": " << cfg.workers << "\n"
+       << "    \"workers\": " << cfg.workers << ",\n"
+       << "    \"kernel_isa\": \"" << gnn::kernelIsa() << "\"\n"
        << "  },\n"
        << "  \"results\": {\n";
     obj("sampler_edges_per_s", sampler, "edges/s");
@@ -574,14 +561,11 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
     obj("matmul_tn_gflops", mm_tn, "GFLOP/s");
     obj("matmul_nt_gflops", mm_nt, "GFLOP/s");
     obj("pipeline_batches_per_s", pipeline, "batches/s");
-    os << "    \"kernel_dispatch\": {\"naive_gflops\": "
-       << dispatch.naive_gflops << ", \"scalar_gflops\": "
-       << dispatch.scalar_gflops << ", \"avx2_gflops\": "
-       << dispatch.avx2_gflops << ", \"threaded_gflops\": "
-       << dispatch.threaded_gflops << ", \"gemm_threads\": "
-       << dispatch.gemm_threads << ", \"avx2_supported\": "
-       << (dispatch.avx2_supported ? "true" : "false")
-       << ", \"avx2_speedup\": " << dispatch.avx2Speedup()
+    os << "    \"kernel\": {\"naive_gflops\": " << kernel.naive_gflops
+       << ", \"tiled_gflops\": " << kernel.tiled_gflops
+       << ", \"threaded_gflops\": " << kernel.threaded_gflops
+       << ", \"gemm_threads\": " << kernel.gemm_threads
+       << ", \"tiled_speedup\": " << kernel.tiledSpeedup()
        << ", \"unit\": \"GFLOP/s\"},\n";
     os << "    \"storage_adapter\": {\"direct_ops_per_s\": "
        << adapter.direct_ops_per_s << ", \"adapter_ops_per_s\": "
@@ -604,11 +588,10 @@ writeJson(std::ostream &os, const BenchConfig &cfg, const Pair &sampler,
        << "    \"sampler_speedup\": " << sampler.speedup() << ",\n"
        << "    \"pipeline_speedup_target\": 2.0,\n"
        << "    \"pipeline_speedup\": " << pipeline.speedup() << ",\n"
-       << "    \"avx2_speedup_target\": 2.0,\n"
-       << "    \"avx2_speedup\": " << dispatch.avx2Speedup() << ",\n"
+       << "    \"tiled_speedup_target\": 2.0,\n"
+       << "    \"tiled_speedup\": " << kernel.tiledSpeedup() << ",\n"
        << "    \"pass\": "
-       << (acceptancePass(sampler, pipeline, dispatch) ? "true"
-                                                       : "false")
+       << (acceptancePass(sampler, pipeline, kernel) ? "true" : "false")
        << "\n  }\n}\n";
 }
 
@@ -682,10 +665,9 @@ main(int argc, char **argv)
     mm_nt.fast = gemmGflops([&] { gnn::matmulNT(dz, w); }, flops,
                             cfg.kernel_reps, gnn::KernelMode::Tiled);
 
-    std::cout << "perf_hotpath: kernel dispatch flavors ("
-              << gnn::kernelDispatchName(gnn::resolvedKernelDispatch())
-              << " resolved)...\n";
-    DispatchCost dispatch = benchKernelDispatch(cfg, a, w, flops);
+    std::cout << "perf_hotpath: tiled kernel (" << gnn::kernelIsa()
+              << " instance)...\n";
+    KernelCost kernel = benchKernel(cfg, a, w, flops);
 
     std::cout << "perf_hotpath: end-to-end pipeline ("
               << cfg.pipeline_batches << " batches, " << cfg.workers
@@ -715,12 +697,10 @@ main(int argc, char **argv)
     report("matmulTN  ", mm_tn, "GFLOP/s");
     report("matmulNT  ", mm_nt, "GFLOP/s");
     report("pipeline  ", pipeline, "batches/s");
-    std::cout << "  dispatch  : naive " << dispatch.naive_gflops
-              << ", scalar " << dispatch.scalar_gflops << ", avx2 "
-              << dispatch.avx2_gflops << ", threaded(x"
-              << dispatch.gemm_threads << ") "
-              << dispatch.threaded_gflops << " GFLOP/s  (avx2 "
-              << dispatch.avx2Speedup() << "x vs naive)\n";
+    std::cout << "  kernel    : naive " << kernel.naive_gflops << ", tiled "
+              << kernel.tiled_gflops << ", threaded(x" << kernel.gemm_threads
+              << ") " << kernel.threaded_gflops << " GFLOP/s  (tiled "
+              << kernel.tiledSpeedup() << "x vs naive)\n";
     std::cout << "  storage   : direct " << adapter.direct_ops_per_s
               << " gathers/s, adapter " << adapter.adapter_ops_per_s
               << " gathers/s  (overhead "
@@ -740,15 +720,15 @@ main(int argc, char **argv)
         std::cerr << "perf_hotpath: cannot open " << out_path << "\n";
         return 1;
     }
-    writeJson(json, cfg, sampler, mm, mm_tn, mm_nt, pipeline, dispatch,
+    writeJson(json, cfg, sampler, mm, mm_tn, mm_nt, pipeline, kernel,
               adapter, cache, mshr);
     std::cout << "perf_hotpath: wrote " << out_path << "\n";
 
-    const bool pass = acceptancePass(sampler, pipeline, dispatch);
+    const bool pass = acceptancePass(sampler, pipeline, kernel);
     std::cout << "perf_hotpath: acceptance "
               << (pass ? "PASS" : "FAIL") << " (sampler "
               << sampler.speedup() << "x >= 3x, pipeline "
-              << pipeline.speedup() << "x >= 2x, avx2 "
-              << dispatch.avx2Speedup() << "x >= 2x where supported)\n";
+              << pipeline.speedup() << "x >= 2x, tiled "
+              << kernel.tiledSpeedup() << "x >= 2x)\n";
     return pass ? 0 : 1;
 }

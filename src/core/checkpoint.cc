@@ -196,7 +196,6 @@ CheckpointManager::load(std::uint64_t step)
     snapshot.step = info.step;
     for (const auto &section : info.sections) {
         std::vector<std::uint8_t> payload;
-        payload.reserve(section.total_bytes);
         for (const auto &chunk : section.chunks) {
             std::vector<std::uint8_t> body =
                 sim::readFile(chunkPath(chunk.hash));

@@ -70,9 +70,9 @@ constexpr ModuleDoc kModules[] = {
      "CSR graphs, paper datasets at simulation scale, power-law "
      "generator, on-device edge-list layout"},
     {"src/gnn",
-     "GraphSAGE/SAINT samplers, Tensor2D + runtime-dispatched GEMM "
-     "microkernels (scalar/AVX2, thread-parallel row ranges), model, "
-     "feature table"},
+     "GraphSAGE/SAINT samplers, Tensor2D + tiled GEMM kernels (one "
+     "body, baseline and AVX2 instances, thread-parallel row ranges), "
+     "model, feature table"},
     {"src/flash",
      "NAND array: channel/die geometry, page read + transfer timing"},
     {"src/ssd",
@@ -152,7 +152,7 @@ constexpr LabelDoc kLabels[] = {
      "versioned checkpoint store, suspend/resume bit-identity, "
      "crash-under-load accounting"},
     {"kernel", "tests/kernel/",
-     "SIMD/threaded GEMM dispatch: flavor equivalence vs the naive "
+     "tiled and threaded GEMM kernels: equivalence vs the naive "
      "goldens, worker-count bit-identity"},
     {"scaling", "tests/scaling/",
      "partitioned scale-out backend: partition maps, network channel, "
@@ -356,44 +356,46 @@ writeBenchesDoc(std::ostream &os,
     {
         const char *file;
         const char *bench;
+        int schema;
         bool gated;
         const char *command;
     };
     constexpr ArtifactDoc kArtifacts[] = {
-        {"BENCH_designspace.json", "design_space", true,
+        {"BENCH_designspace.json", "design_space", 1, true,
          "`design_space --smoke --workers 2 --out "
          "BENCH_designspace.json --stats-json "
          "BENCH_backendstats.json`"},
-        {"BENCH_backendstats.json", "backend_stats", false,
+        {"BENCH_backendstats.json", "backend_stats", 1, false,
          "emitted by the `--stats-json` flag of the design-space "
          "sweep above"},
-        {"BENCH_serving.json", "serving_load", true,
+        {"BENCH_serving.json", "serving_load", 1, true,
          "`design_space --family serving-load --smoke --workers 2 "
          "--serving-out BENCH_serving.json`"},
-        {"BENCH_cachepolicy.json", "cache_policy", true,
+        {"BENCH_cachepolicy.json", "cache_policy", 1, true,
          "`design_space --family cache-policy --family "
          "cache-policy-throughput --smoke --workers 2 --cache-out "
          "BENCH_cachepolicy.json`"},
-        {"BENCH_faults.json", "fault_space", true,
+        {"BENCH_faults.json", "fault_space", 1, true,
          "`design_space --family fault-space --smoke --workers 2 "
          "--faults-out BENCH_faults.json`"},
-        {"BENCH_slo.json", "slo_space", true,
+        {"BENCH_slo.json", "slo_space", 1, true,
          "`design_space --family slo-space --smoke --workers 2 "
          "--slo-out BENCH_slo.json`"},
-        {"BENCH_recovery.json", "recovery_space", true,
+        {"BENCH_recovery.json", "recovery_space", 1, true,
          "`design_space --family recovery-space --smoke --workers 2 "
          "--recovery-out BENCH_recovery.json`"},
-        {"BENCH_scaling.json", "scaling_space", true,
+        {"BENCH_scaling.json", "scaling_space", 1, true,
          "`design_space --family scaling --smoke --workers 2 "
          "--scaling-out BENCH_scaling.json`"},
-        {"BENCH_hotpath.json", "perf_hotpath", false,
+        {"BENCH_hotpath.json", "perf_hotpath", 2, false,
          "`perf_hotpath --quick --out BENCH_hotpath.json` "
          "(non-gating: wall-clock speedups are noisy on shared "
          "runners)"},
     };
     for (const ArtifactDoc &a : kArtifacts)
-        os << "| `" << a.file << "` | `" << a.bench << "` | 1 | "
-           << (a.gated ? "yes" : "no") << " | " << a.command << " |\n";
+        os << "| `" << a.file << "` | `" << a.bench << "` | " << a.schema
+           << " | " << (a.gated ? "yes" : "no") << " | " << a.command
+           << " |\n";
 
     os << "\n"
        << "## Family-to-artifact routing\n"

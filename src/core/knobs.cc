@@ -144,15 +144,9 @@ knobCatalog()
              {"read_gbps", "double", "3.5", "> 0",
               "modeled checkpoint read bandwidth (recovery metric)", 2},
          }},
-        {"kernel.", "GEMM/aggregate microkernel dispatch",
+        {"kernel.", "GEMM/aggregate row-parallel kernels",
          "src/gnn/tensor.hh",
          {
-             {"dispatch", "enum", "0 (auto)",
-              "0 = auto, 1 = scalar, 2 = avx2",
-              "microkernel flavor; auto probes cpuid once and picks "
-              "the fastest available, avx2 silently degrades to "
-              "scalar when the ISA is absent",
-              1},
              {"gemm_threads", "int", "0", "[0, 64]",
               "threads of the row-parallel GEMM, aggregate and feature "
               "gather; 0 = one per usable CPU. Each output row keeps "

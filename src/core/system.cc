@@ -110,9 +110,8 @@ GnnSystem::GnnSystem(const SystemConfig &config, const Workload &workload)
 {
     config_.validate();
 
-    // Microkernel selection is process-global (the tensor layer has no
-    // per-system state); install the configured flavor before any
-    // training math runs.
+    // The kernel thread count is process-global (the tensor layer has
+    // no per-system state); install it before any training math runs.
     gnn::applyKernelConfig(config_.kernel);
 
     // Sampler.

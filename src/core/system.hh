@@ -112,13 +112,12 @@ struct SystemConfig
     sim::AdmissionControl admit;
 
     /**
-     * GEMM/aggregate microkernel selection (`kernel.*` knobs):
-     * dispatch flavor (auto/scalar/avx2) and the row-parallel kernel
-     * thread count. Applied process-globally when the GnnSystem is
-     * built (gnn::applyKernelConfig); defaults — auto dispatch, one
-     * thread per usable CPU — match the process defaults. No
-     * simulated-timing metric depends on GEMM float output, so the
-     * flavor never changes a bench artifact.
+     * Row-parallel GEMM/aggregate kernel thread count (`kernel.*`
+     * knobs). Applied process-globally when the GnnSystem is built
+     * (gnn::applyKernelConfig); the default — one thread per usable
+     * CPU — matches the process default. No simulated-timing metric
+     * depends on GEMM float output, so the count never changes a
+     * bench artifact.
      */
     gnn::KernelConfig kernel;
 

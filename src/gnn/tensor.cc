@@ -7,6 +7,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #ifdef __linux__
@@ -16,14 +17,12 @@
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
 
-// The AVX2 microkernels are compiled with a per-function target
-// attribute, so they exist in every x86 build regardless of -march and
-// are gated purely by the cpuid probe at dispatch time.
+// x86 builds compile every tiled kernel body a second time for AVX2
+// (see the instances below), whatever -march the build selects.
 #if defined(__x86_64__) || defined(__i386__)
-#define SMARTSAGE_X86_KERNELS 1
-#include <immintrin.h>
+#define SMARTSAGE_AVX2_INSTANCES 1
 #else
-#define SMARTSAGE_X86_KERNELS 0
+#define SMARTSAGE_AVX2_INSTANCES 0
 #endif
 
 namespace smartsage::gnn
@@ -33,7 +32,6 @@ namespace
 {
 
 std::atomic<KernelMode> g_kernel_mode{KernelMode::Tiled};
-std::atomic<KernelDispatch> g_kernel_dispatch{KernelDispatch::Auto};
 std::atomic<unsigned> g_gemm_threads{0}; //!< 0 = one per usable CPU
 
 /** CPUs this process may run on, capped at 64; probed once. */
@@ -125,70 +123,6 @@ kernelMode()
     return g_kernel_mode.load(std::memory_order_relaxed);
 }
 
-bool
-cpuSupportsAvx2()
-{
-#if SMARTSAGE_X86_KERNELS && (defined(__GNUC__) || defined(__clang__))
-    // FMA ships with every AVX2 core we care about, but probe both:
-    // the microkernels use fused multiply-add.
-    static const bool supported = __builtin_cpu_supports("avx2") &&
-                                  __builtin_cpu_supports("fma");
-    return supported;
-#else
-    return false;
-#endif
-}
-
-void
-setKernelDispatch(KernelDispatch dispatch)
-{
-    g_kernel_dispatch.store(dispatch, std::memory_order_relaxed);
-}
-
-KernelDispatch
-kernelDispatch()
-{
-    return g_kernel_dispatch.load(std::memory_order_relaxed);
-}
-
-KernelDispatch
-resolvedKernelDispatch()
-{
-    KernelDispatch d = kernelDispatch();
-    if (d == KernelDispatch::Scalar)
-        return d;
-    return cpuSupportsAvx2() ? KernelDispatch::Avx2
-                             : KernelDispatch::Scalar;
-}
-
-const char *
-kernelDispatchName(KernelDispatch dispatch)
-{
-    switch (dispatch) {
-    case KernelDispatch::Auto:
-        return "auto";
-    case KernelDispatch::Scalar:
-        return "scalar";
-    case KernelDispatch::Avx2:
-        return "avx2";
-    }
-    return "?";
-}
-
-KernelDispatch
-kernelDispatchFromKnob(double value)
-{
-    if (value == 0)
-        return KernelDispatch::Auto;
-    if (value == 1)
-        return KernelDispatch::Scalar;
-    if (value == 2)
-        return KernelDispatch::Avx2;
-    SS_FATAL("kernel.dispatch must be 0 (auto), 1 (scalar), or "
-             "2 (avx2), got ",
-             value);
-}
-
 void
 setGemmThreads(unsigned threads)
 {
@@ -227,9 +161,7 @@ forEachRowRange(std::size_t rows, std::size_t work,
 bool
 applyKnob(KernelConfig &config, std::string_view key, double value)
 {
-    if (key == "dispatch") {
-        config.dispatch = kernelDispatchFromKnob(value);
-    } else if (key == "gemm_threads") {
+    if (key == "gemm_threads") {
         if (value != std::floor(value) || value < 0 || value > 64)
             SS_FATAL("kernel.gemm_threads must be an integer in "
                      "[0, 64], got ",
@@ -244,7 +176,6 @@ applyKnob(KernelConfig &config, std::string_view key, double value)
 void
 applyKernelConfig(const KernelConfig &config)
 {
-    setKernelDispatch(config.dispatch);
     setGemmThreads(config.gemm_threads);
 }
 
@@ -310,6 +241,14 @@ Tensor2D::loadState(sim::ByteReader &reader)
 {
     const std::uint64_t rows = reader.u64();
     const std::uint64_t cols = reader.u64();
+    // The shape comes from the file: size it against the bytes that
+    // are actually left before allocating anything.
+    const std::uint64_t max_elems = reader.remaining() / sizeof(float);
+    if (cols != 0 && rows > max_elems / cols)
+        throw sim::SerializeError(
+            "tensor shape " + std::to_string(rows) + " x " +
+            std::to_string(cols) + " exceeds the " +
+            std::to_string(reader.remaining()) + " bytes left");
     rows_ = static_cast<std::size_t>(rows);
     cols_ = static_cast<std::size_t>(cols);
     data_.resize(rows_ * cols_);
@@ -323,7 +262,7 @@ namespace
 // Cache-blocked kernels. Blocks are sized so one B panel (KB x JB
 // floats = 32 KiB) stays L1-resident across the whole i sweep, and the
 // 4-way k unroll keeps four accumulator streams per C row in registers,
-// which is what lets GCC vectorize the j loop into FMAs.
+// which is what lets the compiler vectorize the j loop.
 constexpr std::size_t kKB = 64;  //!< reduction-dim block
 constexpr std::size_t kJB = 128; //!< output-column block
 
@@ -348,15 +287,23 @@ matmulNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 // range: any partition of C's rows yields output bit-identical to a
 // single full-range call. runGemmRows relies on this to split C across
 // threads.
+//
+// Each tiled kernel and row microkernel is one always_inline body with
+// two instances: the body itself, compiled for the build's target, and
+// on x86 an AVX2 copy made by inlining it into a target("avx2")
+// wrapper (Avx2<body>::run), so a portable build still runs 8-lane
+// loops on an AVX2 host. tiledKernels() picks one set once, by cpuid.
+// Both instances give the same bits: the build disables floating-point
+// contraction, the avx2 target carries no FMA, and without fast-math
+// the vectorizer never reassociates a sum.
 
 /**
- * Scalar NN microkernel: C += A * B. Per-row accumulation order (kk
- * outer, then jj, then the 4-way k unroll) is independent of the row
- * range.
+ * NN microkernel: C += A * B. Per-row accumulation order (kk outer,
+ * then jj, then the 4-way k unroll) is independent of the row range.
  */
-void
-matmulScalarRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
-                 std::size_t i0, std::size_t i1)
+[[gnu::always_inline]] inline void
+matmulNNTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
+                  std::size_t i0, std::size_t i1)
 {
     const std::size_t kdim = a.cols(), n = b.cols();
     const float *adata = a.data().data();
@@ -390,93 +337,6 @@ matmulScalarRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
     }
 }
 
-#if SMARTSAGE_X86_KERNELS
-
-/**
- * AVX2+FMA NN microkernel, same blocking and row-range contract as
- * matmulScalarRows. The j loop runs 8 lanes wide with broadcast A
- * scalars; the fused multiply-adds mean outputs match the scalar
- * kernel to tolerance, not bitwise (still bit-identical across row
- * partitions of itself).
- */
-__attribute__((target("avx2,fma"))) void
-matmulAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
-               std::size_t i0, std::size_t i1)
-{
-    const std::size_t kdim = a.cols(), n = b.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
-    float *cdata = c.data().data();
-    for (std::size_t kk = 0; kk < kdim; kk += kKB) {
-        const std::size_t kb = std::min(kKB, kdim - kk);
-        for (std::size_t jj = 0; jj < n; jj += kJB) {
-            const std::size_t jb = std::min(kJB, n - jj);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float *arow = adata + i * kdim + kk;
-                float *crow = cdata + i * n + jj;
-                std::size_t k = 0;
-                for (; k + 4 <= kb; k += 4) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const __m256 a1 = _mm256_set1_ps(arow[k + 1]);
-                    const __m256 a2 = _mm256_set1_ps(arow[k + 2]);
-                    const __m256 a3 = _mm256_set1_ps(arow[k + 3]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a1, _mm256_loadu_ps(b1 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a2, _mm256_loadu_ps(b2 + j), acc);
-                        acc = _mm256_fmadd_ps(
-                            a3, _mm256_loadu_ps(b3 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j] + arow[k + 1] * b1[j] +
-                                   arow[k + 2] * b2[j] +
-                                   arow[k + 3] * b3[j];
-                }
-                for (; k < kb; ++k) {
-                    const __m256 a0 = _mm256_set1_ps(arow[k]);
-                    const float *b0 = bdata + (kk + k) * n + jj;
-                    std::size_t j = 0;
-                    for (; j + 8 <= jb; j += 8) {
-                        __m256 acc = _mm256_loadu_ps(crow + j);
-                        acc = _mm256_fmadd_ps(
-                            a0, _mm256_loadu_ps(b0 + j), acc);
-                        _mm256_storeu_ps(crow + j, acc);
-                    }
-                    for (; j < jb; ++j)
-                        crow[j] += arow[k] * b0[j];
-                }
-            }
-        }
-    }
-}
-
-#endif // SMARTSAGE_X86_KERNELS
-
-using GemmRowsFn = void (*)(const Tensor2D &, const Tensor2D &,
-                            Tensor2D &, std::size_t, std::size_t);
-
-/** Run @p fn over C's rows through forEachRowRange. Each range writes
- *  a disjoint row slice and keeps every element's serial reduction
- *  order, so the result equals the serial call bit-for-bit.
- *  @param kdim the reduction length (work estimate only) */
-void
-runGemmRows(GemmRowsFn fn, const Tensor2D &a, const Tensor2D &b,
-            Tensor2D &c, std::size_t kdim)
-{
-    forEachRowRange(c.rows(), c.rows() * c.cols() * kdim,
-                    [&](std::size_t i0, std::size_t i1) {
-                        fn(a, b, c, i0, i1);
-                    });
-}
-
 void
 matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
@@ -494,7 +354,7 @@ matmulTNNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 matmulTNTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
                   std::size_t i0, std::size_t i1)
 {
@@ -533,65 +393,6 @@ matmulTNTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
     }
 }
 
-#if SMARTSAGE_X86_KERNELS
-
-/** AVX2+FMA variant of matmulTNTiledRows: same 4-row B panels, j
- *  loop 8 lanes wide with broadcast A weights. */
-__attribute__((target("avx2,fma"))) void
-matmulTNAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
-                 std::size_t i0, std::size_t i1)
-{
-    const std::size_t rdim = a.rows(), m = a.cols(), n = b.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
-    float *cdata = c.data().data();
-
-    std::size_t r = 0;
-    for (; r + 4 <= rdim; r += 4) {
-        const float *a0 = adata + r * m;
-        const float *a1 = a0 + m, *a2 = a1 + m, *a3 = a2 + m;
-        const float *b0 = bdata + r * n;
-        const float *b1 = b0 + n, *b2 = b1 + n, *b3 = b2 + n;
-        for (std::size_t i = i0; i < i1; ++i) {
-            const __m256 w0 = _mm256_set1_ps(a0[i]);
-            const __m256 w1 = _mm256_set1_ps(a1[i]);
-            const __m256 w2 = _mm256_set1_ps(a2[i]);
-            const __m256 w3 = _mm256_set1_ps(a3[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w0, _mm256_loadu_ps(b0 + j), acc);
-                acc = _mm256_fmadd_ps(w1, _mm256_loadu_ps(b1 + j), acc);
-                acc = _mm256_fmadd_ps(w2, _mm256_loadu_ps(b2 + j), acc);
-                acc = _mm256_fmadd_ps(w3, _mm256_loadu_ps(b3 + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += a0[i] * b0[j] + a1[i] * b1[j] +
-                           a2[i] * b2[j] + a3[i] * b3[j];
-        }
-    }
-    for (; r < rdim; ++r) {
-        const float *arow = adata + r * m;
-        const float *brow = bdata + r * n;
-        for (std::size_t i = i0; i < i1; ++i) {
-            const __m256 w = _mm256_set1_ps(arow[i]);
-            float *crow = cdata + i * n;
-            std::size_t j = 0;
-            for (; j + 8 <= n; j += 8) {
-                __m256 acc = _mm256_loadu_ps(crow + j);
-                acc = _mm256_fmadd_ps(w, _mm256_loadu_ps(brow + j), acc);
-                _mm256_storeu_ps(crow + j, acc);
-            }
-            for (; j < n; ++j)
-                crow[j] += arow[i] * brow[j];
-        }
-    }
-}
-
-#endif // SMARTSAGE_X86_KERNELS
-
 void
 matmulNTNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
@@ -607,7 +408,7 @@ matmulNTNaive(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 matmulNTTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
                   std::size_t i0, std::size_t i1)
 {
@@ -640,52 +441,97 @@ matmulNTTiledRows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
     }
 }
 
-#if SMARTSAGE_X86_KERNELS
-
-/** AVX2+FMA variant of matmulNTTiledRows: two 8-lane FMA accumulators
- *  per dot product, combined in a fixed order before the scalar tail. */
-__attribute__((target("avx2,fma"))) void
-matmulNTAvx2Rows(const Tensor2D &a, const Tensor2D &b, Tensor2D &c,
-                 std::size_t i0, std::size_t i1)
+/** dst[j] += src[j]: the rowAccumulate body. */
+[[gnu::always_inline]] inline void
+rowAccumulateBody(float *dst, const float *src, std::size_t n)
 {
-    const std::size_t n = b.rows(), kdim = a.cols();
-    const float *adata = a.data().data();
-    const float *bdata = b.data().data();
-    float *cdata = c.data().data();
-
-    for (std::size_t i = i0; i < i1; ++i) {
-        const float *arow = adata + i * kdim;
-        float *crow = cdata + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            const float *brow = bdata + j * kdim;
-            __m256 v0 = _mm256_setzero_ps();
-            __m256 v1 = _mm256_setzero_ps();
-            std::size_t k = 0;
-            for (; k + 16 <= kdim; k += 16) {
-                v0 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + k),
-                                     _mm256_loadu_ps(brow + k), v0);
-                v1 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + k + 8),
-                                     _mm256_loadu_ps(brow + k + 8), v1);
-            }
-            for (; k + 8 <= kdim; k += 8)
-                v0 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + k),
-                                     _mm256_loadu_ps(brow + k), v0);
-            const __m256 v = _mm256_add_ps(v0, v1);
-            __m128 s = _mm_add_ps(_mm256_castps256_ps128(v),
-                                  _mm256_extractf128_ps(v, 1));
-            s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-            float acc = _mm_cvtss_f32(s);
-            for (; k < kdim; ++k)
-                acc += arow[k] * brow[k];
-            crow[j] = acc;
-        }
-    }
+    for (std::size_t j = 0; j < n; ++j)
+        dst[j] += src[j];
 }
 
-#endif // SMARTSAGE_X86_KERNELS
+/** dst[j] = (dst[j] + src[j]) * scale: the rowAccumulateScale body. */
+[[gnu::always_inline]] inline void
+rowAccumulateScaleBody(float *dst, const float *src, float scale,
+                       std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j)
+        dst[j] = (dst[j] + src[j]) * scale;
+}
+
+using GemmRowsFn = void (*)(const Tensor2D &, const Tensor2D &,
+                            Tensor2D &, std::size_t, std::size_t);
+using RowFn = void (*)(float *, const float *, std::size_t);
+using RowScaleFn = void (*)(float *, const float *, float, std::size_t);
+
+/** One instance of every tiled kernel, all built for one ISA; the
+ *  defaults are the instances compiled for the build's target. */
+struct TiledKernels
+{
+    GemmRowsFn nn = matmulNNTiledRows;
+    GemmRowsFn tn = matmulTNTiledRows;
+    GemmRowsFn nt = matmulNTTiledRows;
+    RowFn accumulate = rowAccumulateBody;
+    RowScaleFn accumulate_scale = rowAccumulateScaleBody;
+    const char *isa = "baseline";
+};
+
+#if SMARTSAGE_AVX2_INSTANCES
+/** The AVX2 instance of kernel body @p body. */
+template <auto body> struct Avx2;
+
+template <typename... Args, void (*body)(Args...)>
+struct Avx2<body>
+{
+    __attribute__((target("avx2"))) static void
+    run(Args... args)
+    {
+        body(args...);
+    }
+};
+#endif
+
+/** The instances this host runs, picked on first use. */
+const TiledKernels &
+tiledKernels()
+{
+    static const TiledKernels kernels = [] {
+        TiledKernels k;
+#if SMARTSAGE_AVX2_INSTANCES
+        if (__builtin_cpu_supports("avx2")) {
+            k.nn = Avx2<matmulNNTiledRows>::run;
+            k.tn = Avx2<matmulTNTiledRows>::run;
+            k.nt = Avx2<matmulNTTiledRows>::run;
+            k.accumulate = Avx2<rowAccumulateBody>::run;
+            k.accumulate_scale = Avx2<rowAccumulateScaleBody>::run;
+            k.isa = "avx2";
+        }
+#endif
+        return k;
+    }();
+    return kernels;
+}
+
+/** Run @p fn over C's rows through forEachRowRange. Each range writes
+ *  a disjoint row slice and keeps every element's serial reduction
+ *  order, so the result equals the serial call bit-for-bit.
+ *  @param kdim the reduction length (work estimate only) */
+void
+runGemmRows(GemmRowsFn fn, const Tensor2D &a, const Tensor2D &b,
+            Tensor2D &c, std::size_t kdim)
+{
+    forEachRowRange(c.rows(), c.rows() * c.cols() * kdim,
+                    [&](std::size_t i0, std::size_t i1) {
+                        fn(a, b, c, i0, i1);
+                    });
+}
 
 } // namespace
+
+const char *
+kernelIsa()
+{
+    return tiledKernels().isa;
+}
 
 Tensor2D
 matmul(const Tensor2D &a, const Tensor2D &b)
@@ -726,17 +572,10 @@ matmulAccumulate(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     SS_ASSERT(a.cols() == b.rows() && c.rows() == a.rows() &&
                   c.cols() == b.cols(),
               "matmulAccumulate shape mismatch");
-    if (kernelMode() == KernelMode::Naive) {
+    if (kernelMode() == KernelMode::Naive)
         matmulNaive(a, b, c);
-        return;
-    }
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        runGemmRows(matmulAvx2Rows, a, b, c, a.cols());
-        return;
-    }
-#endif
-    runGemmRows(matmulScalarRows, a, b, c, a.cols());
+    else
+        runGemmRows(tiledKernels().nn, a, b, c, a.cols());
 }
 
 void
@@ -744,17 +583,10 @@ matmulTNInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
 {
     SS_ASSERT(a.rows() == b.rows(), "matmulTN shape mismatch");
     c.resizeToZero(a.cols(), b.cols());
-    if (kernelMode() == KernelMode::Naive) {
+    if (kernelMode() == KernelMode::Naive)
         matmulTNNaive(a, b, c);
-        return;
-    }
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        runGemmRows(matmulTNAvx2Rows, a, b, c, a.rows());
-        return;
-    }
-#endif
-    runGemmRows(matmulTNTiledRows, a, b, c, a.rows());
+    else
+        runGemmRows(tiledKernels().tn, a, b, c, a.rows());
 }
 
 void
@@ -763,84 +595,23 @@ matmulNTInto(const Tensor2D &a, const Tensor2D &b, Tensor2D &c)
     SS_ASSERT(a.cols() == b.cols(), "matmulNT shape mismatch");
     // Both NT kernels overwrite every output element: reshape only.
     c.resizeTo(a.rows(), b.rows());
-    if (kernelMode() == KernelMode::Naive) {
+    if (kernelMode() == KernelMode::Naive)
         matmulNTNaive(a, b, c);
-        return;
-    }
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        runGemmRows(matmulNTAvx2Rows, a, b, c, a.cols());
-        return;
-    }
-#endif
-    runGemmRows(matmulNTTiledRows, a, b, c, a.cols());
+    else
+        runGemmRows(tiledKernels().nt, a, b, c, a.cols());
 }
-
-namespace
-{
-
-#if SMARTSAGE_X86_KERNELS
-
-// AVX2 row microkernels use plain add/mul (no FMA, no reassociation),
-// so they are bit-identical to the scalar loops element-for-element.
-
-__attribute__((target("avx2"))) void
-rowAccumulateAvx2(float *dst, const float *src, std::size_t n)
-{
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(dst + j,
-                         _mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                       _mm256_loadu_ps(src + j)));
-    for (; j < n; ++j)
-        dst[j] += src[j];
-}
-
-__attribute__((target("avx2"))) void
-rowAccumulateScaleAvx2(float *dst, const float *src, float scale,
-                       std::size_t n)
-{
-    const __m256 s = _mm256_set1_ps(scale);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(
-            dst + j,
-            _mm256_mul_ps(_mm256_add_ps(_mm256_loadu_ps(dst + j),
-                                        _mm256_loadu_ps(src + j)),
-                          s));
-    for (; j < n; ++j)
-        dst[j] = (dst[j] + src[j]) * scale;
-}
-
-#endif // SMARTSAGE_X86_KERNELS
-
-} // namespace
 
 void
 rowAccumulate(float *dst, const float *src, std::size_t n)
 {
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        rowAccumulateAvx2(dst, src, n);
-        return;
-    }
-#endif
-    for (std::size_t j = 0; j < n; ++j)
-        dst[j] += src[j];
+    tiledKernels().accumulate(dst, src, n);
 }
 
 void
 rowAccumulateScale(float *dst, const float *src, float scale,
                    std::size_t n)
 {
-#if SMARTSAGE_X86_KERNELS
-    if (resolvedKernelDispatch() == KernelDispatch::Avx2) {
-        rowAccumulateScaleAvx2(dst, src, scale, n);
-        return;
-    }
-#endif
-    for (std::size_t j = 0; j < n; ++j)
-        dst[j] = (dst[j] + src[j]) * scale;
+    tiledKernels().accumulate_scale(dst, src, scale, n);
 }
 
 std::vector<char>

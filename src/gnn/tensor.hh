@@ -123,39 +123,14 @@ class ScopedKernelMode
 };
 
 /**
- * Microkernel flavor behind KernelMode::Tiled. Scalar keeps the
- * portable cache-blocked loops; Avx2 swaps the inner loops for
- * 8-lane FMA intrinsics (runtime-gated on cpuid, so an Avx2 request
- * on a machine without the ISA silently runs Scalar); Auto probes
- * cpuid once and picks the fastest available flavor. Like KernelMode
- * the selection is process-global and atomic — flip it between
- * batches, not mid-kernel. KernelMode::Naive bypasses dispatch
- * entirely: the reference loops stay the golden baseline for every
- * flavor.
- *
- * Numerics: the AVX2 GEMMs fuse multiply-add and reorder the k
- * reduction, so outputs match Scalar to tolerance, not bitwise. The
- * row microkernels (rowAccumulate/rowAccumulateScale) are elementwise
- * and bit-identical across flavors.
+ * Instruction set of the tiled kernels this process runs: "avx2" or
+ * "baseline". Every tiled kernel (the NN/TN/NT GEMMs and the row
+ * microkernels) has one source body, compiled once for the build's
+ * target and, on x86, once more for AVX2; the AVX2 instance is picked
+ * once, on first use, when cpuid reports AVX2. Both instances produce
+ * the same bits, so results never depend on which one runs.
  */
-enum class KernelDispatch { Auto, Scalar, Avx2 };
-
-/** This CPU (and build) can run the AVX2 microkernels. */
-bool cpuSupportsAvx2();
-
-void setKernelDispatch(KernelDispatch dispatch);
-/** The configured flavor (possibly Auto). */
-KernelDispatch kernelDispatch();
-/** The flavor matmuls actually run: Auto and unsupported Avx2
- *  resolve against cpuid; never returns Auto. */
-KernelDispatch resolvedKernelDispatch();
-
-/** Display name ("auto", "scalar", "avx2"). */
-const char *kernelDispatchName(KernelDispatch dispatch);
-
-/** Map the `kernel.dispatch` knob value: 0 = auto, 1 = scalar,
- *  2 = avx2. Fatal on anything else. */
-KernelDispatch kernelDispatchFromKnob(double value);
+const char *kernelIsa();
 
 /**
  * Worker-thread count of the row-parallel kernels (GEMM, aggregate,
@@ -164,9 +139,9 @@ KernelDispatch kernelDispatchFromKnob(double value);
  * default. Each kernel splits its output rows into one contiguous
  * range per thread and every output element keeps its serial
  * reduction order, so results are bit-identical at any thread count
- * — including 1 — for a given dispatch flavor. The backing
- * sim::ThreadPool is created lazily and rebuilt when the count
- * changes; a kernel already running keeps the pool it started with.
+ * — including 1. The backing sim::ThreadPool is created lazily and
+ * rebuilt when the count changes; a kernel already running keeps the
+ * pool it started with.
  */
 void setGemmThreads(unsigned threads);
 /** The resolved thread count (never 0). */
@@ -192,37 +167,19 @@ void forEachRowRange(std::size_t rows, std::size_t work,
  */
 struct KernelConfig
 {
-    KernelDispatch dispatch = KernelDispatch::Auto;
     unsigned gemm_threads = 0; //!< 0 = one per usable CPU
 };
 
 /**
  * Apply one `kernel.`-namespace knob (namespace already stripped):
- * `dispatch` (0 = auto, 1 = scalar, 2 = avx2) or `gemm_threads`
- * ([0, 64], 0 = one per usable CPU). Fatal on out-of-range values.
+ * `gemm_threads` ([0, 64], 0 = one per usable CPU). Fatal on
+ * out-of-range values.
  * @return false if the key is unknown
  */
 bool applyKnob(KernelConfig &config, std::string_view key, double value);
 
-/** Install @p config into the process-global dispatch state. */
+/** Install @p config into the process-global kernel state. */
 void applyKernelConfig(const KernelConfig &config);
-
-/** RAII guard restoring the previous KernelDispatch. */
-class ScopedKernelDispatch
-{
-  public:
-    explicit ScopedKernelDispatch(KernelDispatch dispatch)
-        : prev_(kernelDispatch())
-    {
-        setKernelDispatch(dispatch);
-    }
-    ~ScopedKernelDispatch() { setKernelDispatch(prev_); }
-    ScopedKernelDispatch(const ScopedKernelDispatch &) = delete;
-    ScopedKernelDispatch &operator=(const ScopedKernelDispatch &) = delete;
-
-  private:
-    KernelDispatch prev_;
-};
 
 /** RAII guard restoring the previous GEMM thread count. */
 class ScopedGemmThreads
@@ -240,9 +197,8 @@ class ScopedGemmThreads
     unsigned prev_;
 };
 
-// Row microkernels for the aggregate path (layers.cc): elementwise,
-// dispatch-accelerated, and bit-identical across flavors (no
-// reassociation, no FMA).
+// Row microkernels for the aggregate path (layers.cc): elementwise, so
+// each element is one add (and one multiply) in a fixed order.
 
 /** dst[j] += src[j] for j in [0, n). */
 void rowAccumulate(float *dst, const float *src, std::size_t n);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "gnn/tensor.hh"
 #include "sim/random.hh"
+#include "sim/serialize.hh"
 
 using namespace smartsage::gnn;
 using smartsage::sim::Rng;
@@ -168,6 +171,29 @@ TEST(Tensor, PlusEqualsAndScale)
     EXPECT_GT(a.normSq(), 0.0);
     a.zero();
     EXPECT_EQ(a.normSq(), 0.0);
+}
+
+TEST(Tensor, LoadStateRejectsShapesTheInputCannotHold)
+{
+    // The shape comes from the checkpoint file: a header claiming more
+    // elements than the bytes left must fail as a SerializeError before
+    // anything is allocated, including when rows * cols wraps around.
+    const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+        {std::uint64_t(1) << 42, 16},
+        {std::uint64_t(1) << 63, 4}, // product wraps to 0
+        {3, 5},                      // one float short
+    };
+    for (const auto &[rows, cols] : shapes) {
+        smartsage::sim::ByteWriter writer;
+        writer.u64(rows);
+        writer.u64(cols);
+        for (int i = 0; i < 14; ++i)
+            writer.f32(1.0f);
+        smartsage::sim::ByteReader reader(writer.buffer());
+        Tensor2D t;
+        EXPECT_THROW(t.loadState(reader), smartsage::sim::SerializeError)
+            << rows << " x " << cols;
+    }
 }
 
 TEST(TensorDeath, ShapeMismatchPanics)

@@ -6,10 +6,10 @@
  * GEMM thread count and any sampler worker count. A kernel change that
  * moves a single bit — or stops learning — fails here.
  *
- * The golden values are per dispatch flavor: the AVX2 GEMMs fuse
- * multiply-add, so they legitimately differ from scalar. The build
- * disables implicit floating-point contraction, so neither flavor's
- * bits depend on the compiler, the optimization level or the host.
+ * The build disables implicit floating-point contraction, so the bits
+ * depend neither on the compiler, the optimization level or -march,
+ * nor on which instance of the tiled kernels (baseline or AVX2) the
+ * host runs.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@
 #include "sim/thread_pool.hh"
 
 using namespace smartsage;
-using gnn::KernelDispatch;
 
 namespace
 {
@@ -53,8 +52,7 @@ operator<<(std::ostream &os, const Trajectory &t)
 /** Four training steps of a 2-layer model whose widths straddle the
  *  GEMM tiles (kKB = 64, kJB = 128) and the 8-lane tails. */
 Trajectory
-train(KernelDispatch flavor, unsigned gemm_threads,
-      unsigned sampler_workers)
+train(unsigned gemm_threads, unsigned sampler_workers)
 {
     graph::PowerLawParams gp;
     gp.num_nodes = 4096;
@@ -72,7 +70,6 @@ train(KernelDispatch flavor, unsigned gemm_threads,
     gnn::SageSampler sampler({10, 5});
 
     gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
-    gnn::ScopedKernelDispatch dispatch(flavor);
     gnn::ScopedGemmThreads threads(gemm_threads);
 
     pipeline::ParallelSampleConfig psc;
@@ -94,41 +91,24 @@ train(KernelDispatch flavor, unsigned gemm_threads,
     return t;
 }
 
-void
-expectGolden(KernelDispatch flavor, const Trajectory &golden)
+} // namespace
+
+TEST(TrainingGolden, ScalarFourSteps)
 {
-    const Trajectory reference = train(flavor, 1, 1);
+    const Trajectory golden{0x63ee2b74bd9206fbULL,
+                            {0x400686b4eacd83f1ULL, 0x4005343b85a08854ULL,
+                             0x40038e5c2c843b44ULL, 0x4001f41740bc8ff3ULL}};
+    const Trajectory reference = train(1, 1);
     EXPECT_EQ(reference, golden)
-        << gnn::kernelDispatchName(flavor) << " trajectory moved";
+        << "trajectory moved (kernel isa " << gnn::kernelIsa() << ")";
     ASSERT_EQ(reference.loss_bits.size(), 4u);
     EXPECT_LT(std::bit_cast<double>(reference.loss_bits.back()),
               std::bit_cast<double>(reference.loss_bits.front()));
     for (unsigned gemm_threads : {1u, 4u}) {
         for (unsigned workers : {1u, 3u}) {
-            EXPECT_EQ(train(flavor, gemm_threads, workers), reference)
-                << gnn::kernelDispatchName(flavor)
-                << " gemm_threads=" << gemm_threads
+            EXPECT_EQ(train(gemm_threads, workers), reference)
+                << "gemm_threads=" << gemm_threads
                 << " sampler_workers=" << workers;
         }
     }
-}
-
-} // namespace
-
-TEST(TrainingGolden, ScalarFourSteps)
-{
-    expectGolden(KernelDispatch::Scalar,
-                 {0x63ee2b74bd9206fbULL,
-                  {0x400686b4eacd83f1ULL, 0x4005343b85a08854ULL,
-                   0x40038e5c2c843b44ULL, 0x4001f41740bc8ff3ULL}});
-}
-
-TEST(TrainingGolden, Avx2FourSteps)
-{
-    if (!gnn::cpuSupportsAvx2())
-        GTEST_SKIP() << "host CPU has no AVX2+FMA";
-    expectGolden(KernelDispatch::Avx2,
-                 {0x542e6a54f20a83caULL,
-                  {0x400686b4e82e793fULL, 0x4005343b84c915ddULL,
-                   0x40038e5c2de46626ULL, 0x4001f4173e3cef4aULL}});
 }

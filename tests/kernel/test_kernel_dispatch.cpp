@@ -1,9 +1,8 @@
-/** @file Kernel-dispatch equivalence (ctest label `kernel`): the
- *  scalar-tiled, AVX2, and thread-parallel GEMM flavors against the
- *  naive golden reference, plus knob round-trips and the bit-exactness
- *  contracts the dispatch layer promises (row-parallel kernels
- *  invariant to thread count, row microkernels invariant to dispatch
- *  flavor), and the thread pool's safety under a racing rebuild. */
+/** @file Tiled-kernel equivalence (ctest label `kernel`): the tiled
+ *  and thread-parallel GEMMs against the naive golden reference, plus
+ *  knob round-trips, the bit-exactness contract of the row-parallel
+ *  kernels (invariant to thread count), and the thread pool's safety
+ *  under a racing rebuild. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,7 +21,6 @@
 #include "sim/random.hh"
 
 using namespace smartsage;
-using gnn::KernelDispatch;
 using gnn::Tensor2D;
 
 namespace
@@ -54,19 +53,9 @@ bitIdentical(const Tensor2D &a, const Tensor2D &b)
            a.data() == b.data();
 }
 
-/** The dispatch flavors this host can run. */
-std::vector<KernelDispatch>
-hostFlavors()
-{
-    std::vector<KernelDispatch> flavors = {KernelDispatch::Scalar};
-    if (gnn::cpuSupportsAvx2())
-        flavors.push_back(KernelDispatch::Avx2);
-    return flavors;
-}
-
 /**
- * Run @p compute serially and at 2, 3 and 4 threads on every host
- * flavor; every threaded result must equal the serial one bitwise.
+ * Run @p compute serially and at 2, 3 and 4 threads; every threaded
+ * result must equal the serial one bitwise.
  * The shapes used with it are large enough to clear the per-range
  * work threshold, so each count really splits the rows differently.
  */
@@ -75,37 +64,26 @@ void
 expectThreadInvariant(const char *what, F &&compute)
 {
     gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
-    for (KernelDispatch flavor : hostFlavors()) {
-        gnn::ScopedKernelDispatch guard(flavor);
-        std::vector<Tensor2D> serial;
-        {
-            gnn::ScopedGemmThreads one(1);
-            serial = compute();
-        }
-        for (unsigned threads : {2u, 3u, 4u}) {
-            gnn::ScopedGemmThreads many(threads);
-            std::vector<Tensor2D> threaded = compute();
-            ASSERT_EQ(threaded.size(), serial.size());
-            for (std::size_t i = 0; i < serial.size(); ++i)
-                EXPECT_TRUE(bitIdentical(threaded[i], serial[i]))
-                    << what << " output " << i << " "
-                    << gnn::kernelDispatchName(flavor)
-                    << " threads=" << threads;
-        }
+    std::vector<Tensor2D> serial;
+    {
+        gnn::ScopedGemmThreads one(1);
+        serial = compute();
+    }
+    for (unsigned threads : {2u, 3u, 4u}) {
+        gnn::ScopedGemmThreads many(threads);
+        std::vector<Tensor2D> threaded = compute();
+        ASSERT_EQ(threaded.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            EXPECT_TRUE(bitIdentical(threaded[i], serial[i]))
+                << what << " output " << i << " threads=" << threads;
     }
 }
 
 } // namespace
 
-TEST(KernelDispatch, KnobRoundTripAndResolution)
+TEST(TiledKernel, KnobRoundTrip)
 {
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(0), KernelDispatch::Auto);
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(1), KernelDispatch::Scalar);
-    EXPECT_EQ(gnn::kernelDispatchFromKnob(2), KernelDispatch::Avx2);
-
     gnn::KernelConfig cfg;
-    EXPECT_TRUE(gnn::applyKnob(cfg, "dispatch", 1));
-    EXPECT_EQ(cfg.dispatch, KernelDispatch::Scalar);
     EXPECT_EQ(cfg.gemm_threads, 0u); // default: one per usable CPU
     EXPECT_TRUE(gnn::applyKnob(cfg, "gemm_threads", 4));
     EXPECT_EQ(cfg.gemm_threads, 4u);
@@ -119,16 +97,11 @@ TEST(KernelDispatch, KnobRoundTripAndResolution)
     }
     EXPECT_FALSE(gnn::applyKnob(cfg, "no_such_knob", 1));
 
-    // resolvedKernelDispatch never reports Auto, and only reports Avx2
-    // on hardware that can actually run it.
-    gnn::ScopedKernelDispatch guard(KernelDispatch::Auto);
-    KernelDispatch resolved = gnn::resolvedKernelDispatch();
-    EXPECT_NE(resolved, KernelDispatch::Auto);
-    if (!gnn::cpuSupportsAvx2())
-        EXPECT_EQ(resolved, KernelDispatch::Scalar);
+    const std::string isa = gnn::kernelIsa();
+    EXPECT_TRUE(isa == "avx2" || isa == "baseline") << isa;
 }
 
-TEST(KernelDispatch, ScalarTiledMatchesNaiveWithinTolerance)
+TEST(TiledKernel, MatchesNaiveWithinTolerance)
 {
     Tensor2D a = randomTensor(97, 33, 0xaa);  // A . B
     Tensor2D b = randomTensor(33, 41, 0xbb);
@@ -143,7 +116,6 @@ TEST(KernelDispatch, ScalarTiledMatchesNaiveWithinTolerance)
         nt_naive = gnn::matmulNT(a, d);
     }
     gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
-    gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
     // The tiled kernels reassociate the k-loop, so equality is up to
     // float rounding, not bitwise.
     EXPECT_LT(maxAbsDiff(gnn::matmul(a, b), nn_naive), 1e-4);
@@ -151,78 +123,24 @@ TEST(KernelDispatch, ScalarTiledMatchesNaiveWithinTolerance)
     EXPECT_LT(maxAbsDiff(gnn::matmulNT(a, d), nt_naive), 1e-4);
 }
 
-TEST(KernelDispatch, Avx2MatchesScalarWithinTolerance)
-{
-    if (!gnn::cpuSupportsAvx2())
-        GTEST_SKIP() << "host CPU has no AVX2+FMA";
-
-    Tensor2D a = randomTensor(70, 48, 0x11);  // A . B
-    Tensor2D b = randomTensor(48, 53, 0x22);
-    Tensor2D c = randomTensor(48, 31, 0x33);  // B^T . C (rows match)
-    Tensor2D d = randomTensor(53, 48, 0x44);  // A . D^T (cols match)
-
-    gnn::ScopedKernelMode tiled(gnn::KernelMode::Tiled);
-    Tensor2D nn_s, tn_s, nt_s;
-    {
-        gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
-        nn_s = gnn::matmul(a, b);
-        tn_s = gnn::matmulTN(b, c);
-        nt_s = gnn::matmulNT(a, d);
-    }
-    gnn::ScopedKernelDispatch avx2(KernelDispatch::Avx2);
-    EXPECT_LT(maxAbsDiff(gnn::matmul(a, b), nn_s), 1e-4);
-    EXPECT_LT(maxAbsDiff(gnn::matmulTN(b, c), tn_s), 1e-4);
-    EXPECT_LT(maxAbsDiff(gnn::matmulNT(a, d), nt_s), 1e-4);
-}
-
-TEST(KernelDispatch, RowMicrokernelsBitIdenticalAcrossFlavors)
-{
-    // rowAccumulate/rowAccumulateScale use add/mul only (no FMA), so
-    // the AVX2 flavor must match scalar bit-for-bit — aggregation
-    // results cannot depend on the host CPU.
-    if (!gnn::cpuSupportsAvx2())
-        GTEST_SKIP() << "host CPU has no AVX2+FMA";
-
-    const std::size_t n = 77; // odd: exercises the vector tail
-    Tensor2D src = randomTensor(1, n, 0x66);
-    Tensor2D acc_s = randomTensor(1, n, 0x77);
-    Tensor2D acc_v = acc_s;
-
-    {
-        gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
-        gnn::rowAccumulate(acc_s.row(0).data(), src.row(0).data(), n);
-        gnn::rowAccumulateScale(acc_s.row(0).data(), src.row(0).data(),
-                                0.125f, n);
-    }
-    {
-        gnn::ScopedKernelDispatch avx2(KernelDispatch::Avx2);
-        gnn::rowAccumulate(acc_v.row(0).data(), src.row(0).data(), n);
-        gnn::rowAccumulateScale(acc_v.row(0).data(), src.row(0).data(),
-                                0.125f, n);
-    }
-    EXPECT_TRUE(bitIdentical(acc_s, acc_v));
-}
-
-TEST(KernelDispatch, NaiveModeBypassesDispatch)
+TEST(TiledKernel, NaiveModeIgnoresThreadCount)
 {
     // KernelMode::Naive is the golden reference: its output must not
-    // depend on the dispatch flavor or thread count at all.
+    // depend on the thread count at all.
     Tensor2D a = randomTensor(65, 31, 0x88);
     Tensor2D b = randomTensor(31, 29, 0x99);
 
     gnn::ScopedKernelMode naive(gnn::KernelMode::Naive);
     Tensor2D golden;
     {
-        gnn::ScopedKernelDispatch scalar(KernelDispatch::Scalar);
         gnn::ScopedGemmThreads one(1);
         golden = gnn::matmul(a, b);
     }
-    gnn::ScopedKernelDispatch auto_(KernelDispatch::Auto);
     gnn::ScopedGemmThreads four(4);
     EXPECT_TRUE(bitIdentical(gnn::matmul(a, b), golden));
 }
 
-TEST(KernelDispatch, ThreadedGemmBitIdenticalAtAnyWorkerCount)
+TEST(TiledKernel, ThreadedGemmBitIdenticalAtAnyWorkerCount)
 {
     // Row counts (301) are no multiple of 2, 3 or 4; the reduction and
     // output widths straddle kKB = 64, kJB = 128 and the 8/16-lane
@@ -242,7 +160,7 @@ TEST(KernelDispatch, ThreadedGemmBitIdenticalAtAnyWorkerCount)
     });
 }
 
-TEST(KernelDispatch, ThreadedLayerBitIdenticalAtAnyThreadCount)
+TEST(TiledKernel, ThreadedLayerBitIdenticalAtAnyThreadCount)
 {
     // One SAGE layer forward and backward: the h_self copy, the mean
     // aggregate (isolated, single-edge and multi-edge dsts), the GEMMs
@@ -275,7 +193,7 @@ TEST(KernelDispatch, ThreadedLayerBitIdenticalAtAnyThreadCount)
     });
 }
 
-TEST(KernelDispatch, ThreadedGatherBitIdenticalAtAnyThreadCount)
+TEST(TiledKernel, ThreadedGatherBitIdenticalAtAnyThreadCount)
 {
     gnn::FeatureTable table(50000, 523, 7);
     std::vector<graph::LocalNodeId> nodes;
@@ -290,7 +208,7 @@ TEST(KernelDispatch, ThreadedGatherBitIdenticalAtAnyThreadCount)
     });
 }
 
-TEST(KernelDispatch, RowRangesPartitionRowsAndRethrow)
+TEST(TiledKernel, RowRangesPartitionRowsAndRethrow)
 {
     gnn::ScopedGemmThreads four(4);
     const std::size_t rows = 1001;
@@ -325,7 +243,7 @@ TEST(KernelDispatch, RowRangesPartitionRowsAndRethrow)
     }
 }
 
-TEST(KernelDispatch, PoolRebuildRacingGemmsIsSafe)
+TEST(TiledKernel, PoolRebuildRacingGemmsIsSafe)
 {
     // Two threads run threaded GEMMs while a third keeps changing the
     // thread count, which rebuilds the shared pool under them. Each
